@@ -24,7 +24,7 @@ from .formulas import (
     formula_ids,
 )
 from .genfun import gf_for_k, poly_text, series_coefficients
-from .oracle import CapExceeded, enumerate_avoiders, refined_count
+from .oracle import CapExceeded, check_size, enumerate_avoiders, refined_count
 from .perms import ALL_PATTERNS, PatternSet
 
 EXIT_OK = 0
@@ -108,6 +108,16 @@ def _parse_patterns(text: str) -> PatternSet:
         raise UsageError(f"bad pattern set {text!r}: {exc}") from exc
 
 
+def _oracle_cap(cap: int | None, n_max: int) -> int:
+    """Resolve the oracle cap once for a command and refuse ``n_max``
+    before any enumeration; a malformed PATFIX_ORACLE_CAP is a usage
+    error."""
+    try:
+        return check_size(n_max, cap)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2))
 
@@ -133,9 +143,11 @@ def _table_rows(ps: PatternSet, n_max: int, method: str, cap: int | None) -> lis
             raise UsageError(
                 f"no structural generator for {{{ps.canonical()}}}; use --method oracle"
             )
+        generators.check_size(n_max, cap)
         for n in range(n_max + 1):
             rows.append([str(v) for v in generators.generate_refined(ps, n, cap=cap)])
     else:
+        cap = _oracle_cap(cap, n_max)
         for n in range(n_max + 1):
             rows.append([str(v) for v in refined_count(n, ps, cap=cap)])
     return rows
@@ -181,11 +193,13 @@ def _sequence_values(ps: PatternSet, k: int, n_max: int, method: str, cap: int |
             raise UsageError(
                 f"no structural generator for {{{ps.canonical()}}}; use --method oracle"
             )
+        generators.check_size(n_max, cap)
         out = []
         for n in range(n_max + 1):
             hist = generators.generate_refined(ps, n, cap=cap)
             out.append(str(hist[k]) if k <= n else "0")
         return out
+    cap = _oracle_cap(cap, n_max)
     out = []
     for n in range(n_max + 1):
         row = refined_count(n, ps, cap=cap)
@@ -220,15 +234,16 @@ def _cmd_sequence(args) -> int:
 def _cmd_verify(args) -> int:
     if args.all == bool(args.formula):
         raise UsageError("choose exactly one of --all or --formula ID")
+    if args.formula and args.formula not in formula_ids():
+        raise UsageError(
+            f"unknown formula id {args.formula!r}; known ids: "
+            + ", ".join(formula_ids())
+        )
+    cap = _oracle_cap(args.cap, args.n_max)
     if args.all:
-        reports = audit_mod.audit_all(args.n_max, cap=args.cap)
+        reports = audit_mod.audit_all(args.n_max, cap=cap)
     else:
-        if args.formula not in formula_ids():
-            raise UsageError(
-                f"unknown formula id {args.formula!r}; known ids: "
-                + ", ".join(formula_ids())
-            )
-        reports = [audit_mod.audit_formula(args.formula, args.n_max, cap=args.cap)]
+        reports = [audit_mod.audit_formula(args.formula, args.n_max, cap=cap)]
     if args.format == "json":
         print(audit_mod.reports_to_json(reports))
     else:
@@ -258,15 +273,16 @@ def _cmd_classes(args) -> int:
         return EXIT_OK
     if args.n_max is None:
         raise UsageError("--mode superwilf requires --n-max")
+    cap = _oracle_cap(args.cap, args.n_max)
     import itertools
 
     candidates = [PatternSet(c) for c in itertools.combinations(ALL_PATTERNS, args.size)]
-    classes = super_wilf_classes(candidates, args.n_max, cap=args.cap)
+    classes = super_wilf_classes(candidates, args.n_max, cap=cap)
     payload = [[m.canonical() for m in c.members] for c in classes]
     witnesses = []
     for i, a in enumerate(classes):
         for b in classes[i + 1:]:
-            w = divergence_witness(a.members[0], b.members[0], args.n_max, cap=args.cap)
+            w = divergence_witness(a.members[0], b.members[0], args.n_max, cap=cap)
             if w is not None:
                 witnesses.append({
                     "a": a.members[0].canonical(),
@@ -317,7 +333,8 @@ def _cmd_avoiders(args) -> int:
     ps = _parse_patterns(args.patterns)
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
-    perms = [p.compact() for p in enumerate_avoiders(args.n, ps, cap=args.cap)]
+    cap = _oracle_cap(args.cap, args.n)
+    perms = [p.compact() for p in enumerate_avoiders(args.n, ps, cap=cap)]
     if args.format == "json":
         _emit_json({
             "patterns": ps.canonical(),
@@ -353,9 +370,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except generators.UnsupportedFamily as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

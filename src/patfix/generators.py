@@ -26,6 +26,7 @@ __all__ = [
     "GENERATOR_CAP",
     "StructuralFamily",
     "UnsupportedFamily",
+    "check_size",
     "family_for",
     "generate",
     "generate_refined",
@@ -295,16 +296,23 @@ def family_for(patterns) -> StructuralFamily | None:
     return _FAMILIES.get(ps)
 
 
-def _build(patterns, n: int, cap: int | None) -> list[OnelineTuple]:
-    ps = patterns if isinstance(patterns, PatternSet) else PatternSet(patterns)
-    fam = _FAMILIES.get(ps)
-    if fam is None:
-        raise UnsupportedFamily(ps)
+def check_size(n: int, cap: int | None = None) -> int:
+    """Refuse structural generation at size n before any work is done;
+    returns the effective cap (``cap``, else :data:`GENERATOR_CAP`)."""
     if n < 0:
         raise ValueError("permutation size must be nonnegative")
     limit = GENERATOR_CAP if cap is None else cap
     if n > limit:
         raise CapExceeded(n, limit, subject="structural generation")
+    return limit
+
+
+def _build(patterns, n: int, cap: int | None) -> list[OnelineTuple]:
+    ps = patterns if isinstance(patterns, PatternSet) else PatternSet(patterns)
+    fam = _FAMILIES.get(ps)
+    if fam is None:
+        raise UnsupportedFamily(ps)
+    check_size(n, cap)
     return sorted(set(fam.build(n)))
 
 

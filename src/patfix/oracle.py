@@ -6,6 +6,14 @@ points it has.  The (mask, fixed-point-count) histogram then answers
 every refined-count query for every pattern set at that size, so the n!
 work is shared across pattern sets and cached for the process lifetime.
 
+For n <= 9 the pass also keeps the permutation matrix and its per-row
+masks, so the same single sweep serves both counts and avoider streams:
+listing the avoiders of a pattern set is a boolean filter on the cached
+rows.  Larger sizes keep only the histogram and stream avoiders chunk by
+chunk.  Each size is swept at most once per process, even under
+concurrent callers: the first caller for n sweeps while the others wait
+for its result.
+
 Counts are plain Python integers end to end; numpy is used only to walk
 the permutations quickly, in deterministic lexicographic blocks.
 """
@@ -28,6 +36,7 @@ __all__ = [
     "CapExceeded",
     "CountTable",
     "DEFAULT_CAP",
+    "check_size",
     "clear_cache",
     "count_table",
     "enumerate_avoiders",
@@ -38,8 +47,9 @@ __all__ = [
 DEFAULT_CAP = 11
 CAP_ENV_VAR = "PATFIX_ORACLE_CAP"
 
-# Largest block materialized at once; larger sizes stream in
-# lexicographic chunks of _BASE_SIZE! rows to bound memory.
+# Largest block materialized at once, and the largest size whose rows and
+# masks stay cached; larger sizes stream in lexicographic chunks of
+# _BASE_SIZE! rows to bound memory.
 _BASE_SIZE = 9
 
 # Fixed-point counts are packed into 4 bits of the histogram key.
@@ -69,12 +79,21 @@ def resolve_cap(cap: int | None = None) -> int:
     return DEFAULT_CAP
 
 
-def _check(n: int, cap: int | None) -> None:
+def check_size(n: int, cap: int | None = None) -> int:
+    """Refuse an exhaustive pass over S_n before any work is done.
+
+    Returns the effective cap (see :func:`resolve_cap`), so a caller can
+    resolve it once and pass it on.  Sizes above the histogram's hard
+    limit are refused whatever the cap says.
+    """
     if n < 0:
         raise ValueError("permutation size must be nonnegative")
     limit = resolve_cap(cap)
     if n > limit:
         raise CapExceeded(n, limit)
+    if n > _HARD_LIMIT:
+        raise CapExceeded(n, _HARD_LIMIT, subject="exhaustive histogram")
+    return limit
 
 
 def _as_pattern_set(patterns) -> PatternSet:
@@ -104,21 +123,21 @@ def _perm_matrix(n: int) -> np.ndarray:
     return out
 
 
-def _chunks(n: int) -> Iterator[np.ndarray]:
-    """The one-line matrix of S_n (0-based), in lexicographic blocks."""
+def _blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The one-line matrix of S_n (0-based) in lexicographic blocks, each
+    with its per-row pattern mask and fixed-point count.  For n <= _BASE_SIZE
+    the single block is the cached :func:`_perm_matrix` itself."""
     base = min(n, _BASE_SIZE)
     body = _perm_matrix(base)
-    if base == n:
-        yield body
-        return
     head = n - base
-    rows = body.shape[0]
     for prefix in itertools.permutations(range(n), head):
-        chunk = np.empty((rows, n), dtype=np.int8)
-        chunk[:, :head] = np.array(prefix, dtype=np.int8)
-        rest = np.array(sorted(set(range(n)) - set(prefix)), dtype=np.int8)
-        chunk[:, head:] = rest[body]
-        yield chunk
+        chunk = body
+        if head:
+            chunk = np.empty((body.shape[0], n), dtype=np.int8)
+            chunk[:, :head] = np.array(prefix, dtype=np.int8)
+            rest = np.array(sorted(set(range(n)) - set(prefix)), dtype=np.int8)
+            chunk[:, head:] = rest[body]
+        yield (chunk, *_chunk_stats(chunk))
 
 
 def _chunk_stats(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,7 +150,7 @@ def _chunk_stats(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     positions (prefix cases) or first two positions (suffix cases).
     """
     rows, n = chunk.shape
-    fixed = (chunk == np.arange(n, dtype=np.int8)).sum(axis=1)
+    fixed = (chunk == np.arange(n, dtype=np.int8)).sum(axis=1, dtype=np.uint8)
     mask = np.zeros(rows, dtype=np.uint8)
     if n < 3:
         return mask, fixed
@@ -162,30 +181,54 @@ def _chunk_stats(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mask, fixed
 
 
-_hist_lock = threading.Lock()
-_hist_cache: dict[int, dict[tuple[int, int], int]] = {}
+@dataclass(frozen=True)
+class _Sweep:
+    """One exhaustive pass over S_n: the (pattern mask, fixed points) ->
+    count histogram and, for n <= _BASE_SIZE only, the permutation rows
+    with their per-row pattern masks."""
+
+    histogram: dict[tuple[int, int], int]
+    rows: np.ndarray | None = None
+    masks: np.ndarray | None = None
 
 
-def _histogram(n: int) -> dict[tuple[int, int], int]:
-    """Map (pattern mask, fixed points) -> number of permutations in S_n."""
-    if n > _HARD_LIMIT:
-        raise ValueError(f"exhaustive histograms support n <= {_HARD_LIMIT}")
-    with _hist_lock:
-        cached = _hist_cache.get(n)
-    if cached is not None:
-        return cached
+def _run_sweep(n: int) -> _Sweep:
     counts = np.zeros(64 * 16, dtype=np.int64)
-    for chunk in _chunks(n):
-        mask, fixed = _chunk_stats(chunk)
-        key = (mask.astype(np.int64) << 4) | fixed.astype(np.int64)
+    for rows, mask, fixed in _blocks(n):
+        key = (mask.astype(np.uint16) << 4) | fixed
         counts += np.bincount(key, minlength=64 * 16)
-    hist = {
-        (key >> 4, key & 15): int(c)
+    histogram = {
+        (key >> 4, key & 15): c
         for key, c in enumerate(counts.tolist())
         if c
     }
-    with _hist_lock:
-        return _hist_cache.setdefault(n, hist)
+    if n > _BASE_SIZE:
+        return _Sweep(histogram)
+    # A single block: the whole of S_n.
+    return _Sweep(histogram, rows, mask)
+
+
+_cache_lock = threading.Lock()
+_sweeps: dict[int, _Sweep] = {}
+_size_locks: dict[int, threading.Lock] = {}
+
+
+def _sweep(n: int) -> _Sweep:
+    """The cached pass over S_n.  Single-flight: the first caller for n
+    runs it while later callers for the same n wait for its result."""
+    with _cache_lock:
+        done = _sweeps.get(n)
+        if done is not None:
+            return done
+        size_lock = _size_locks.setdefault(n, threading.Lock())
+    with size_lock:
+        with _cache_lock:
+            done = _sweeps.get(n)
+        if done is None:
+            done = _run_sweep(n)
+            with _cache_lock:
+                _sweeps[n] = done
+    return done
 
 
 def refined_count(n: int, patterns, *, cap: int | None = None) -> list[int]:
@@ -193,10 +236,10 @@ def refined_count(n: int, patterns, *, cap: int | None = None) -> list[int]:
     S_n avoiding every pattern in ``patterns`` with exactly k fixed
     points."""
     pats = _as_pattern_set(patterns)
-    _check(n, cap)
+    check_size(n, cap)
     out = [0] * (n + 1)
     tmask = pats.mask
-    for (mask, fp), count in _histogram(n).items():
+    for (mask, fp), count in _sweep(n).histogram.items():
         if mask & tmask == 0:
             out[fp] += count
     return out
@@ -204,14 +247,19 @@ def refined_count(n: int, patterns, *, cap: int | None = None) -> list[int]:
 
 def enumerate_avoiders(n: int, patterns, *, cap: int | None = None) -> Iterator[Permutation]:
     """Yield the avoiders of ``patterns`` in S_n, each exactly once, in
-    lexicographic order."""
+    lexicographic order.  For n <= 9 this filters the cached sweep of
+    S_n; larger sizes are streamed again, block by block."""
     pats = _as_pattern_set(patterns)
-    _check(n, cap)
+    check_size(n, cap)
     tmask = pats.mask
-    for chunk in _chunks(n):
-        mask, _ = _chunk_stats(chunk)
-        for row in chunk[(mask & tmask) == 0]:
-            yield Permutation(int(v) + 1 for v in row)
+    if n <= _BASE_SIZE:
+        sweep = _sweep(n)
+        blocks = [(sweep.rows, sweep.masks)]
+    else:
+        blocks = ((rows, mask) for rows, mask, _ in _blocks(n))
+    for rows, mask in blocks:
+        for entries in (rows[(mask & tmask) == 0] + 1).tolist():
+            yield Permutation(entries)
 
 
 @dataclass(frozen=True)
@@ -244,12 +292,13 @@ def count_table(n_max: int, patterns, *, cap: int | None = None) -> CountTable:
     pats = _as_pattern_set(patterns)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    rows = {n: refined_count(n, pats, cap=cap) for n in range(n_max + 1)}
+    limit = check_size(n_max, cap)
+    rows = {n: refined_count(n, pats, cap=limit) for n in range(n_max + 1)}
     return CountTable(pats, rows)
 
 
 def clear_cache() -> None:
     """Drop all cached enumeration state (mainly for tests)."""
-    with _hist_lock:
-        _hist_cache.clear()
+    with _cache_lock:
+        _sweeps.clear()
     _perm_matrix.cache_clear()

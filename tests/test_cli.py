@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from patfix import cli, generators, oracle
 from patfix.cli import main
 
 
@@ -235,6 +236,51 @@ class TestAvoiders:
         code, _, err = run(capsys, "avoiders", "--patterns", "123", "--n", "4",
                            "--cap", "3")
         assert code == 3
+
+
+class TestFailFast:
+    @pytest.mark.parametrize("argv", [
+        ["table", "--patterns", "123", "--n-max", "12"],
+        ["sequence", "--patterns", "123", "--k", "0", "--n-max", "12"],
+        ["verify", "--all", "--n-max", "12"],
+        ["verify", "--formula", "thm-231-312", "--n-max", "12"],
+        ["classes", "--size", "1", "--mode", "superwilf", "--n-max", "12"],
+        ["avoiders", "--patterns", "123", "--n", "12"],
+        ["table", "--patterns", "123", "--n-max", "16", "--cap", "20"],
+    ])
+    def test_oracle_cap_refused_before_any_sweep(self, capsys, sweeps, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert "cap" in err and not out
+        assert not sweeps
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--patterns", "231,321", "--method", "generator", "--n-max", "15"],
+        ["sequence", "--patterns", "231,321", "--method", "generator", "--k", "0",
+         "--n-max", "15"],
+    ])
+    def test_generator_cap_refused_before_any_build(self, capsys, monkeypatch, argv):
+        def build(*args, **kwargs):
+            raise AssertionError("generator ran past its cap")
+
+        monkeypatch.setattr(generators, "generate_refined", build)
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert "structural generation cap of 14" in err
+
+    def test_bad_cap_variable_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv(oracle.CAP_ENV_VAR, "junk")
+        code, _, err = run(capsys, "table", "--patterns", "123", "--n-max", "3")
+        assert code == 2
+        assert oracle.CAP_ENV_VAR in err
+
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "refined_count", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["table", "--patterns", "123", "--n-max", "3"])
 
 
 class TestEntryPoint:

@@ -1,11 +1,18 @@
 import itertools
+import sys
+import threading
+import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from patfix import oracle
+from patfix.audit import audit_all
 from patfix.oracle import (
     CAP_ENV_VAR,
     CapExceeded,
+    clear_cache,
     count_table,
     enumerate_avoiders,
     refined_count,
@@ -147,3 +154,88 @@ class TestConcurrency:
         jobs = [key for key in expected for _ in range(8)]
         with ThreadPoolExecutor(max_workers=8) as pool:
             assert all(pool.map(worker, jobs))
+
+
+class TestSharedSweep:
+    def test_every_pattern_set_matches_contains(self):
+        # Six containment bits per permutation, computed once per n from
+        # the definition, then filtered for each of the 63 pattern sets.
+        all_sets = [
+            PatternSet(combo)
+            for size in range(1, 7)
+            for combo in itertools.combinations(ALL_PATTERNS, size)
+        ]
+        assert len(all_sets) == 63
+        for n in range(8):
+            perms = [Permutation(e) for e in itertools.permutations(range(1, n + 1))]
+            bits = [
+                sum(1 << i for i, q in enumerate(ALL_PATTERNS) if p.contains(q))
+                for p in perms
+            ]
+            for ps in all_sets:
+                expected = [p for p, b in zip(perms, bits) if b & ps.mask == 0]
+                assert list(enumerate_avoiders(n, ps)) == expected, (n, ps)
+
+    def test_audit_sweeps_each_size_once(self, sweeps):
+        audit_all(9)
+        assert sweeps == Counter({n: 1 for n in range(10)})
+
+    def test_counts_and_avoiders_share_one_sweep(self, sweeps):
+        for ps in ("123", "132,231", "231,312,321"):
+            refined_count(8, ps)
+            list(enumerate_avoiders(8, ps))
+        assert sweeps == Counter({8: 1})
+
+    def test_clear_cache_drops_the_sweep(self, sweeps):
+        list(enumerate_avoiders(6, "123"))
+        clear_cache()
+        refined_count(6, "123")
+        assert sweeps == Counter({6: 2})
+
+    def test_single_flight_under_threads(self, sweeps, monkeypatch):
+        counting = oracle._chunk_stats
+
+        def slow(chunk):
+            time.sleep(0.05)  # widen the window in which callers overlap
+            return counting(chunk)
+
+        monkeypatch.setattr(oracle, "_chunk_stats", slow)
+        start = threading.Barrier(8)
+
+        def worker(i):
+            start.wait(timeout=10)
+            if i % 2:
+                return refined_count(7, "132")
+            return sum(1 for _ in enumerate_avoiders(7, "132"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(worker, range(8), timeout=30))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sweeps == Counter({7: 1})
+        assert results[::2] == [429] * 4
+        assert results[1::2] == [naive_refined(7, "132")] * 4
+
+    def test_large_sizes_stream_and_keep_no_rows(self, sweeps, monkeypatch):
+        # Shrink the cached size so the streaming path runs at small n.
+        monkeypatch.setattr(oracle, "_BASE_SIZE", 4)
+        for patterns in ("321", "132,213,231"):
+            assert list(enumerate_avoiders(6, patterns)) == naive_avoiders(6, patterns)
+            assert refined_count(6, patterns) == naive_refined(6, patterns)
+        assert oracle._sweeps[6].rows is None and oracle._sweeps[6].masks is None
+        # S_6 is 30 blocks of 4! rows: each of the two avoider streams
+        # sweeps them all again, the cached histogram only once.
+        assert sweeps[6] == 3 * 30
+
+    def test_cap_refused_before_any_sweep(self, sweeps):
+        with pytest.raises(CapExceeded):
+            count_table(12, "123")
+        with pytest.raises(CapExceeded) as exc:
+            count_table(16, "123", cap=20)
+        assert exc.value.cap == 15
+        with pytest.raises(CapExceeded):
+            next(enumerate_avoiders(12, "123"))
+        assert not sweeps
