@@ -1,30 +1,36 @@
-"""Brute-force ground truth: exact refined counts over all of S_n.
+"""Brute-force ground truth: exact refined counts over S_n.
 
-One exhaustive pass per size n computes, for every permutation, which of
-the six length-3 patterns it contains (a 6-bit mask) and how many fixed
-points it has.  The (mask, fixed-point-count) histogram then answers
-every refined-count query for every pattern set at that size, so the n!
-work is shared across pattern sets and cached for the process lifetime.
+For every size n the oracle knows, for each permutation of S_n that
+avoids at least one of the six length-3 patterns, which of them it
+contains (a 6-bit mask) and how many fixed points it has.  A pattern set
+is never empty, so the permutations that contain all six patterns never
+count and are not kept.  The (mask, fixed-point-count) histogram answers
+every refined-count query for every pattern set at that size, and
+listing the avoiders of a pattern set is a boolean filter on the kept
+rows.
 
-For n <= 9 the pass also keeps the permutation matrix and its per-row
-masks, so the same single sweep serves both counts and avoider streams:
-listing the avoiders of a pattern set is a boolean filter on the cached
-rows.  Larger sizes keep only the histogram and stream avoiders chunk by
-chunk.  Each size is swept at most once per process, even under
-concurrent callers: the first caller for n sweeps while the others wait
-for its result.
+The rows of size n are grown from those of size n-1 in one insertion
+step: each kept row of size n-1 gets each possible first entry v, with
+its entries >= v raised by one.  This is exhaustive: deleting the first
+entry of a permutation that avoids a pattern (and closing the gap in
+the values) leaves a permutation that avoids it, so every kept row of
+S_n comes from exactly one first entry and one kept row of S_{n-1}.
+Each candidate's mask is computed afresh from its entries, and taking
+v in increasing order and the rows of size n-1 in their own order
+yields the rows of size n already in lexicographic order.  Each size is
+built at most once per process, even under concurrent callers: the
+first caller for n builds it (and, first, the sizes below it) while the
+others wait for its result.
 
-Counts are plain Python integers end to end; numpy is used only to walk
-the permutations quickly, in deterministic lexicographic blocks.
+Counts are plain Python integers end to end; numpy is used only to
+process the rows quickly.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -47,13 +53,15 @@ __all__ = [
 DEFAULT_CAP = 11
 CAP_ENV_VAR = "PATFIX_ORACLE_CAP"
 
-# Largest block materialized at once, and the largest size whose rows and
-# masks stay cached; larger sizes stream in lexicographic chunks of
-# _BASE_SIZE! rows to bound memory.
-_BASE_SIZE = 9
-
 # Fixed-point counts are packed into 4 bits of the histogram key.
 _HARD_LIMIT = 15
+
+# The mask of a permutation that contains every length-3 pattern.
+_FULL = (1 << 6) - 1
+
+# Candidate rows go through _chunk_stats in blocks of at most this many
+# rows, which bounds the temporary arrays of a sweep.
+_SLICE_ROWS = 1 << 18
 
 
 class CapExceeded(Exception):
@@ -102,44 +110,6 @@ def _as_pattern_set(patterns) -> PatternSet:
     return PatternSet(patterns)
 
 
-@lru_cache(maxsize=None)
-def _perm_matrix(n: int) -> np.ndarray:
-    """All permutations of 0..n-1 as rows, in lexicographic order."""
-    if n == 0:
-        out = np.zeros((1, 0), dtype=np.int8)
-    else:
-        out = np.zeros((1, 1), dtype=np.int8)
-        for m in range(2, n + 1):
-            prev = out
-            rows = prev.shape[0]
-            out = np.empty((rows * m, m), dtype=np.int8)
-            vals = np.arange(m, dtype=np.int8)
-            for lead in range(m):
-                rest = np.delete(vals, lead)
-                block = out[lead * rows:(lead + 1) * rows]
-                block[:, 0] = lead
-                block[:, 1:] = rest[prev]
-    out.flags.writeable = False
-    return out
-
-
-def _blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The one-line matrix of S_n (0-based) in lexicographic blocks, each
-    with its per-row pattern mask and fixed-point count.  For n <= _BASE_SIZE
-    the single block is the cached :func:`_perm_matrix` itself."""
-    base = min(n, _BASE_SIZE)
-    body = _perm_matrix(base)
-    head = n - base
-    for prefix in itertools.permutations(range(n), head):
-        chunk = body
-        if head:
-            chunk = np.empty((body.shape[0], n), dtype=np.int8)
-            chunk[:, :head] = np.array(prefix, dtype=np.int8)
-            rest = np.array(sorted(set(range(n)) - set(prefix)), dtype=np.int8)
-            chunk[:, head:] = rest[body]
-        yield (chunk, *_chunk_stats(chunk))
-
-
 def _chunk_stats(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row containment mask and fixed-point count.
 
@@ -149,6 +119,7 @@ def _chunk_stats(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     occurrence of a pattern is witnessed by the pair of its last two
     positions (prefix cases) or first two positions (suffix cases).
     """
+    chunk = np.asfortranarray(chunk)  # the loops below read whole columns
     rows, n = chunk.shape
     fixed = (chunk == np.arange(n, dtype=np.int8)).sum(axis=1, dtype=np.uint8)
     mask = np.zeros(rows, dtype=np.uint8)
@@ -183,29 +154,51 @@ def _chunk_stats(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _Sweep:
-    """One exhaustive pass over S_n: the (pattern mask, fixed points) ->
-    count histogram and, for n <= _BASE_SIZE only, the permutation rows
-    with their per-row pattern masks."""
+    """The permutations of S_n that avoid some length-3 pattern, as
+    lexicographically sorted 0-based rows with their per-row pattern
+    masks, and their (pattern mask, fixed points) -> count histogram."""
 
     histogram: dict[tuple[int, int], int]
-    rows: np.ndarray | None = None
-    masks: np.ndarray | None = None
+    rows: np.ndarray
+    masks: np.ndarray
+
+
+def _candidates(n: int) -> Iterator[np.ndarray]:
+    """S_0 as one block; for n >= 1, every kept row of size n-1 behind
+    every first entry v, with the row's entries >= v raised by one.  The
+    blocks come in lexicographic order, v by v and, for each v, in the
+    order of the rows of size n-1, at most _SLICE_ROWS rows at a time."""
+    if n == 0:
+        yield np.zeros((1, 0), dtype=np.int8)
+        return
+    prev = _sweep(n - 1).rows
+    for v in range(n):
+        for lo in range(0, len(prev), _SLICE_ROWS):
+            tail = prev[lo:lo + _SLICE_ROWS]
+            block = np.empty((len(tail), n), dtype=np.int8)
+            block[:, 0] = v
+            block[:, 1:] = tail + (tail >= v)
+            yield block
 
 
 def _run_sweep(n: int) -> _Sweep:
+    rows, masks = [], []
     counts = np.zeros(64 * 16, dtype=np.int64)
-    for rows, mask, fixed in _blocks(n):
-        key = (mask.astype(np.uint16) << 4) | fixed
-        counts += np.bincount(key, minlength=64 * 16)
+    for block in _candidates(n):
+        mask, fixed = _chunk_stats(block)
+        keep = mask != _FULL
+        mask, fixed = mask[keep], fixed[keep]
+        rows.append(block[keep])
+        masks.append(mask)
+        counts += np.bincount((mask.astype(np.uint16) << 4) | fixed, minlength=64 * 16)
     histogram = {
         (key >> 4, key & 15): c
         for key, c in enumerate(counts.tolist())
         if c
     }
-    if n > _BASE_SIZE:
-        return _Sweep(histogram)
-    # A single block: the whole of S_n.
-    return _Sweep(histogram, rows, mask)
+    sweep = _Sweep(histogram, np.concatenate(rows), np.concatenate(masks))
+    sweep.rows.flags.writeable = sweep.masks.flags.writeable = False
+    return sweep
 
 
 _cache_lock = threading.Lock()
@@ -214,8 +207,10 @@ _size_locks: dict[int, threading.Lock] = {}
 
 
 def _sweep(n: int) -> _Sweep:
-    """The cached pass over S_n.  Single-flight: the first caller for n
-    runs it while later callers for the same n wait for its result."""
+    """The cached rows of size n.  Single-flight: the first caller for n
+    builds them while later callers for the same n wait for its result.
+    Building n takes the lock of n-1 while holding that of n, so locks
+    are always taken in descending order of size."""
     with _cache_lock:
         done = _sweeps.get(n)
         if done is not None:
@@ -247,19 +242,12 @@ def refined_count(n: int, patterns, *, cap: int | None = None) -> list[int]:
 
 def enumerate_avoiders(n: int, patterns, *, cap: int | None = None) -> Iterator[Permutation]:
     """Yield the avoiders of ``patterns`` in S_n, each exactly once, in
-    lexicographic order.  For n <= 9 this filters the cached sweep of
-    S_n; larger sizes are streamed again, block by block."""
+    lexicographic order, filtered from the cached rows of size n."""
     pats = _as_pattern_set(patterns)
     check_size(n, cap)
-    tmask = pats.mask
-    if n <= _BASE_SIZE:
-        sweep = _sweep(n)
-        blocks = [(sweep.rows, sweep.masks)]
-    else:
-        blocks = ((rows, mask) for rows, mask, _ in _blocks(n))
-    for rows, mask in blocks:
-        for entries in (rows[(mask & tmask) == 0] + 1).tolist():
-            yield Permutation(entries)
+    sweep = _sweep(n)
+    for entries in (sweep.rows[(sweep.masks & pats.mask) == 0] + 1).tolist():
+        yield Permutation(entries)
 
 
 @dataclass(frozen=True)
@@ -301,4 +289,3 @@ def clear_cache() -> None:
     """Drop all cached enumeration state (mainly for tests)."""
     with _cache_lock:
         _sweeps.clear()
-    _perm_matrix.cache_clear()

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +99,36 @@ class TestAuditAll:
             "thm-213-231",
             "thm3-132-213-231",
         ]
+
+    def test_discrepancies_md_matches_the_audit(self):
+        # Every write-up under "Confirmed discrepancies" is an `id`
+        # heading whose section gives the first counterexample in bold.
+        text = (Path(__file__).resolve().parent.parent / "DISCREPANCIES.md").read_text()
+        confirmed = text.split("## Confirmed discrepancies", 1)[1].split("\n## ", 1)[0]
+        sections = re.split(r"^### `([^`]+)`", confirmed, flags=re.M)[1:]
+        written = {}
+        for item_id, body in zip(sections[::2], sections[1::2]):
+            found = re.search(
+                r"\*\*n=(\d+),\s+k=(\d+):\s+(?:formula|generated)\s+(\S+),\s+oracle\s+(\S+)\*\*",
+                body,
+            )
+            assert found, item_id
+            n, k, claimed, truth = found.groups()
+            written[item_id] = (int(n), int(k), claimed, truth)
+        reported = {
+            r.item_id: (
+                r.counterexample.n,
+                r.counterexample.k,
+                r.counterexample.formula_value,
+                r.counterexample.oracle_value,
+            )
+            for r in audit_all(9)
+            if r.status == DISCREPANT
+        }
+        assert set(written) == {
+            "thm-132-231", "thm-213-231", "thm3-132-213-231", "gen-132-213-231",
+        }
+        assert written == reported
 
     def test_json_is_reproducible_and_well_formed(self):
         a = reports_to_json(audit_all(5))

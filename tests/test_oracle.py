@@ -5,6 +5,7 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from patfix import oracle
@@ -176,6 +177,49 @@ class TestSharedSweep:
                 expected = [p for p, b in zip(perms, bits) if b & ps.mask == 0]
                 assert list(enumerate_avoiders(n, ps)) == expected, (n, ps)
 
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_every_pattern_set_matches_the_full_histogram(self, n):
+        # Reference: _chunk_stats over all of S_n, which the test above
+        # ties to Permutation.contains for n <= 7.
+        mask, fixed = oracle._chunk_stats(
+            np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+        )
+        histogram = Counter(zip(mask.tolist(), fixed.tolist()))
+        for size in range(1, 7):
+            for combo in itertools.combinations(ALL_PATTERNS, size):
+                ps = PatternSet(combo)
+                expected = [0] * (n + 1)
+                for (m, fp), count in histogram.items():
+                    if m & ps.mask == 0:
+                        expected[fp] += count
+                assert refined_count(n, ps) == expected, ps
+
+    def test_single_patterns_give_catalan_at_ten(self):
+        for q in ALL_PATTERNS:
+            assert sum(refined_count(10, PatternSet([q]))) == 16796
+
+    def test_cached_rows_are_the_sorted_permutations_missing_some_pattern(self):
+        for n in range(8):
+            expected_rows, expected_masks = [], []
+            for entries in itertools.permutations(range(n)):
+                p = Permutation([v + 1 for v in entries])
+                bits = sum(1 << i for i, q in enumerate(ALL_PATTERNS) if p.contains(q))
+                if bits != (1 << 6) - 1:
+                    expected_rows.append(list(entries))
+                    expected_masks.append(bits)
+            sweep = oracle._sweep(n)
+            assert sweep.rows.tolist() == expected_rows, n
+            assert sweep.masks.tolist() == expected_masks, n
+
+    def test_small_slices_build_the_same_rows(self, sweeps, monkeypatch):
+        whole = oracle._sweep(7)
+        clear_cache()
+        monkeypatch.setattr(oracle, "_SLICE_ROWS", 5)
+        sliced = oracle._sweep(7)
+        assert np.array_equal(sliced.rows, whole.rows)
+        assert np.array_equal(sliced.masks, whole.masks)
+        assert sliced.histogram == whole.histogram
+
     def test_audit_sweeps_each_size_once(self, sweeps):
         audit_all(9)
         assert sweeps == Counter({n: 1 for n in range(10)})
@@ -184,22 +228,22 @@ class TestSharedSweep:
         for ps in ("123", "132,231", "231,312,321"):
             refined_count(8, ps)
             list(enumerate_avoiders(8, ps))
-        assert sweeps == Counter({8: 1})
+        assert sweeps == Counter({n: 1 for n in range(9)})
 
     def test_clear_cache_drops_the_sweep(self, sweeps):
         list(enumerate_avoiders(6, "123"))
         clear_cache()
         refined_count(6, "123")
-        assert sweeps == Counter({6: 2})
+        assert sweeps == Counter({n: 2 for n in range(7)})
 
     def test_single_flight_under_threads(self, sweeps, monkeypatch):
-        counting = oracle._chunk_stats
+        counting = oracle._run_sweep
 
-        def slow(chunk):
+        def slow(n):
             time.sleep(0.05)  # widen the window in which callers overlap
-            return counting(chunk)
+            return counting(n)
 
-        monkeypatch.setattr(oracle, "_chunk_stats", slow)
+        monkeypatch.setattr(oracle, "_run_sweep", slow)
         start = threading.Barrier(8)
 
         def worker(i):
@@ -215,20 +259,9 @@ class TestSharedSweep:
                 results = list(pool.map(worker, range(8), timeout=30))
         finally:
             sys.setswitchinterval(interval)
-        assert sweeps == Counter({7: 1})
+        assert sweeps == Counter({n: 1 for n in range(8)})
         assert results[::2] == [429] * 4
         assert results[1::2] == [naive_refined(7, "132")] * 4
-
-    def test_large_sizes_stream_and_keep_no_rows(self, sweeps, monkeypatch):
-        # Shrink the cached size so the streaming path runs at small n.
-        monkeypatch.setattr(oracle, "_BASE_SIZE", 4)
-        for patterns in ("321", "132,213,231"):
-            assert list(enumerate_avoiders(6, patterns)) == naive_avoiders(6, patterns)
-            assert refined_count(6, patterns) == naive_refined(6, patterns)
-        assert oracle._sweeps[6].rows is None and oracle._sweeps[6].masks is None
-        # S_6 is 30 blocks of 4! rows: each of the two avoider streams
-        # sweeps them all again, the cached histogram only once.
-        assert sweeps[6] == 3 * 30
 
     def test_cap_refused_before_any_sweep(self, sweeps):
         with pytest.raises(CapExceeded):
