@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 from . import formulas, generators
 from .equivalence import divergence_witness, super_wilf_classes
@@ -29,7 +30,7 @@ from .formulas import (
     sum_identity,
 )
 from .genfun import gf_for_k, series_coefficients, sum_over_k
-from .oracle import count_table, enumerate_avoiders, refined_count
+from .oracle import enumerate_avoiders, refined_count
 from .perms import ALL_PATTERNS, PatternSet
 
 __all__ = [
@@ -57,7 +58,6 @@ class Cell:
     k: int
     formula_value: str
     oracle_value: str
-    match: bool
 
 
 @dataclass
@@ -71,7 +71,6 @@ class AuditReport:
     counterexample: Cell | None
     duration_s: float
     detail: str = ""
-    cells: list[Cell] = field(default_factory=list, repr=False)
 
     @property
     def verified(self) -> bool:
@@ -102,22 +101,18 @@ class AuditReport:
 
 
 class _Tally:
-    """Shared bookkeeping for a sweep of cell comparisons."""
+    """Checked and skipped counts and the first counterexample."""
 
     def __init__(self) -> None:
         self.start = time.perf_counter()
         self.checked = 0
         self.skipped = 0
-        self.cells: list[Cell] = []
         self.counterexample: Cell | None = None
 
     def compare(self, n: int, k: int, claimed: str, oracle: str) -> None:
-        ok = claimed == oracle
-        cell = Cell(n, k, claimed, oracle, ok)
         self.checked += 1
-        self.cells.append(cell)
-        if not ok and self.counterexample is None:
-            self.counterexample = cell
+        if claimed != oracle and self.counterexample is None:
+            self.counterexample = Cell(n, k, claimed, oracle)
 
     def report(self, item_id: str, kind: str, n_max: int, detail: str = "") -> AuditReport:
         status = VERIFIED if self.counterexample is None else DISCREPANT
@@ -131,8 +126,31 @@ class _Tally:
             counterexample=self.counterexample,
             duration_s=time.perf_counter() - self.start,
             detail=detail,
-            cells=self.cells,
         )
+
+
+def _compare_cells(ps: PatternSet, n_max: int, claim, cap: int | None) -> _Tally:
+    """``claim(n, k)`` against the oracle at every cell of rows
+    n = 0..n_max; a cell the claim leaves out of domain is skipped."""
+    tally = _Tally()
+    for n in range(n_max + 1):
+        row = refined_count(n, ps, cap=cap)
+        for k in range(n + 1):
+            v = claim(n, k)
+            if v is Undefined.OUT_OF_DOMAIN:
+                tally.skipped += 1
+                continue
+            claimed = "non-integral" if v is Undefined.NON_INTEGRAL else str(v)
+            tally.compare(n, k, claimed, str(row[k]))
+    return tally
+
+
+def _compare_totals(ps: PatternSet, sizes: range, claim, cap: int | None) -> _Tally:
+    """``claim(n)`` against the oracle's row total at every n in sizes."""
+    tally = _Tally()
+    for n in sizes:
+        tally.compare(n, ROW_LEVEL, str(claim(n)), str(sum(refined_count(n, ps, cap=cap))))
+    return tally
 
 
 def _gen_item_id(patterns: PatternSet) -> str:
@@ -142,62 +160,39 @@ def _gen_item_id(patterns: PatternSet) -> str:
 def audit_formula(formula_id: str, n_max: int, *, cap: int | None = None) -> AuditReport:
     """Compare a registered closed form against the oracle on its whole
     stated domain up to n_max; out-of-domain cells are skipped and
-    counted.  The formula's status field is stamped with the verdict."""
+    counted."""
     f = get_formula(formula_id)
-    tally = _Tally()
-    for n in range(n_max + 1):
-        if n < f.min_n:
-            tally.skipped += n + 1
-            continue
-        row = refined_count(n, f.patterns, cap=cap)
-        for k in range(n + 1):
-            v = evaluate(formula_id, n, k)
-            if v is Undefined.OUT_OF_DOMAIN:
-                tally.skipped += 1
-                continue
-            claimed = "non-integral" if v is Undefined.NON_INTEGRAL else str(v)
-            tally.compare(n, k, claimed, str(row[k]))
-    report = tally.report(formula_id, "formula", n_max)
-    f.status = report.status
-    return report
+    tally = _compare_cells(
+        f.patterns, n_max, lambda n, k: evaluate(formula_id, n, k), cap
+    )
+    return tally.report(formula_id, "formula", n_max)
 
 
 def audit_generator(patterns, n_max: int, *, cap: int | None = None) -> AuditReport:
     """Set equality of the structural construction against the oracle
     enumeration, plus the refined histogram cell by cell."""
-    ps = patterns if isinstance(patterns, PatternSet) else PatternSet(patterns)
-    tally = _Tally()
-    sets_diverge_at: int | None = None
-    first_diff: tuple[str, str] | None = None
-    for n in range(n_max + 1):
-        built = generators.generate(ps, n)
-        truth = list(enumerate_avoiders(n, ps, cap=cap))
-        if built != truth and sets_diverge_at is None:
-            sets_diverge_at = n
-            missing = sorted(set(truth) - set(built))
-            spurious = sorted(set(built) - set(truth))
-            first_diff = (
-                spurious[0].compact() if spurious else "-",
-                missing[0].compact() if missing else "-",
-            )
-        hist = [0] * (n + 1)
-        for p in built:
-            hist[p.fixed_point_count()] += 1
-        row = refined_count(n, ps, cap=cap)
-        for k in range(n + 1):
-            tally.compare(n, k, str(hist[k]), str(row[k]))
+    ps = PatternSet(patterns)
+    built = [generators.generate(ps, n) for n in range(n_max + 1)]
+    hists = [Counter(p.fixed_point_count() for p in perms) for perms in built]
+    tally = _compare_cells(ps, n_max, lambda n, k: hists[n][k], cap)
     detail = ""
-    if sets_diverge_at is not None:
+    for n, perms in enumerate(built):
+        truth = list(enumerate_avoiders(n, ps, cap=cap))
+        if perms == truth:
+            continue
+        spurious = sorted(set(perms) - set(truth))
+        missing = sorted(set(truth) - set(perms))
+        first_spurious = spurious[0].compact() if spurious else "-"
+        first_missing = missing[0].compact() if missing else "-"
         detail = (
-            f"sets first differ at n={sets_diverge_at}"
-            f" (spurious={first_diff[0]}, missing={first_diff[1]})"
+            f"sets first differ at n={n}"
+            f" (spurious={first_spurious}, missing={first_missing})"
         )
         if tally.counterexample is None:
             # Same histogram but different members; surface it anyway.
-            tally.counterexample = Cell(
-                sets_diverge_at, ROW_LEVEL, first_diff[0], first_diff[1], False
-            )
+            tally.counterexample = Cell(n, ROW_LEVEL, first_spurious, first_missing)
             tally.checked += 1
+        break
     return tally.report(_gen_item_id(ps), "generator", n_max, detail)
 
 
@@ -205,46 +200,39 @@ def audit_recurrence(formula_id: str, n_max: int, *, cap: int | None = None) -> 
     rep = recurrence_check(formula_id, n_max, cap=cap)
     tally = _Tally()
     tally.checked = rep.cells_checked
-    for n, k, lhs, rhs in rep.violations:
-        cell = Cell(n, k, str(rhs), str(lhs), False)
-        tally.cells.append(cell)
-        if tally.counterexample is None:
-            tally.counterexample = cell
+    if rep.violations:
+        n, k, lhs, rhs = rep.violations[0]
+        tally.counterexample = Cell(n, k, str(rhs), str(lhs))
     item_id = "rec-" + formula_id.removeprefix("thm3-").removeprefix("thm-")
     return tally.report(item_id, "recurrence", n_max)
 
 
 def audit_gf_coefficients(n_max: int, *, cap: int | None = None) -> AuditReport:
     """Series coefficients of every gf_for_k against the oracle table."""
-    ps = PatternSet.parse("231,321")
-    tally = _Tally()
-    for n in range(n_max + 1):
-        row = refined_count(n, ps, cap=cap)
-        for k in range(n + 1):
-            coeff = series_coefficients(gf_for_k(k), n)[n]
-            tally.compare(n, k, str(coeff), str(row[k]))
+    tally = _compare_cells(
+        PatternSet.parse("231,321"),
+        n_max,
+        lambda n, k: series_coefficients(gf_for_k(k), n)[n],
+        cap,
+    )
     return tally.report("gf-231-321", "genfun", n_max)
 
 
 def audit_gf_sum(n_max: int, *, cap: int | None = None) -> AuditReport:
     """The summed series against the oracle row totals (which the
     separate sum identity pins to 2^(n-1))."""
-    ps = PatternSet.parse("231,321")
     sums = sum_over_k(n_max, n_max)
-    tally = _Tally()
-    for n in range(n_max + 1):
-        total = sum(refined_count(n, ps, cap=cap))
-        tally.compare(n, ROW_LEVEL, str(sums[n]), str(total))
+    tally = _compare_totals(
+        PatternSet.parse("231,321"), range(n_max + 1), lambda n: sums[n], cap
+    )
     return tally.report("gf-sum-231-321", "genfun", n_max)
 
 
 def audit_sum_identity(patterns, n_max: int, *, cap: int | None = None) -> AuditReport:
-    ps = patterns if isinstance(patterns, PatternSet) else PatternSet(patterns)
-    tally = _Tally()
-    for n in range(1, n_max + 1):
-        claimed = sum_identity(ps, n)
-        total = sum(refined_count(n, ps, cap=cap))
-        tally.compare(n, ROW_LEVEL, str(claimed), str(total))
+    ps = PatternSet(patterns)
+    tally = _compare_totals(
+        ps, range(1, n_max + 1), lambda n: sum_identity(ps, n), cap
+    )
     item_id = "sum-" + ps.canonical().replace(",", "-")
     return tally.report(item_id, "identity", n_max)
 
@@ -263,20 +251,16 @@ def audit_small_class_bound(n_max: int, *, cap: int | None = None) -> AuditRepor
                     ok = row[k] in (0, 1, 2)
                     tally.checked += 1
                     if not ok and tally.counterexample is None:
-                        tally.counterexample = Cell(
-                            n, k, "0|1|2", str(row[k]), False
-                        )
+                        tally.counterexample = Cell(n, k, "0|1|2", str(row[k]))
                         detail = f"violated by {{{ps.canonical()}}}"
     return tally.report("bound-size-ge-4", "property", n_max, detail)
 
 
 def audit_vanishing(n_max: int, *, cap: int | None = None) -> AuditReport:
     """No permutation of size >= 5 avoids both monotone patterns."""
-    ps = PatternSet.parse("123,321")
-    tally = _Tally()
-    for n in range(5, n_max + 1):
-        total = sum(refined_count(n, ps, cap=cap))
-        tally.compare(n, ROW_LEVEL, "0", str(total))
+    tally = _compare_totals(
+        PatternSet.parse("123,321"), range(5, n_max + 1), lambda n: 0, cap
+    )
     return tally.report("empty-123-321", "property", n_max)
 
 

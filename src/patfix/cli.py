@@ -130,34 +130,34 @@ def _cell_text(value) -> str | None:
     return str(value)
 
 
-def _table_rows(ps: PatternSet, n_max: int, method: str, cap: int | None) -> list[list[str | None]]:
-    rows: list[list[str | None]] = []
+def _rows(ps: PatternSet, n_max: int, method: str, cap: int | None) -> list[list[str | None]]:
+    """Rows n = 0..n_max of the refined table by one route, as cell
+    texts (None out of domain).  The route is resolved, and an unknown
+    pattern set or an oversized n_max refused, before any work."""
+    sizes = range(n_max + 1)
     if method == "formula":
         f = formula_for_patterns(ps)
         if f is None:
             raise UsageError(f"no closed form is registered for {{{ps.canonical()}}}")
-        for n in range(n_max + 1):
-            rows.append([_cell_text(evaluate(f.formula_id, n, k)) for k in range(n + 1)])
+        rows = ([evaluate(f.formula_id, n, k) for k in range(n + 1)] for n in sizes)
     elif method == "generator":
         if generators.family_for(ps) is None:
             raise UsageError(
                 f"no structural generator for {{{ps.canonical()}}}; use --method oracle"
             )
         generators.check_size(n_max, cap)
-        for n in range(n_max + 1):
-            rows.append([str(v) for v in generators.generate_refined(ps, n, cap=cap)])
+        rows = (generators.generate_refined(ps, n, cap=cap) for n in sizes)
     else:
         cap = _oracle_cap(cap, n_max)
-        for n in range(n_max + 1):
-            rows.append([str(v) for v in refined_count(n, ps, cap=cap)])
-    return rows
+        rows = (refined_count(n, ps, cap=cap) for n in sizes)
+    return [[_cell_text(v) for v in row] for row in rows]
 
 
 def _cmd_table(args) -> int:
     ps = _parse_patterns(args.patterns)
     if args.n_max < 0:
         raise UsageError("--n-max must be nonnegative")
-    rows = _table_rows(ps, args.n_max, args.method, args.cap)
+    rows = _rows(ps, args.n_max, args.method, args.cap)
     if args.format == "json":
         _emit_json({
             "patterns": ps.canonical(),
@@ -178,46 +178,29 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _sequence_values(ps: PatternSet, k: int, n_max: int, method: str, cap: int | None) -> list[str | None]:
-    if method == "gf":
-        if ps != PatternSet.parse("231,321"):
-            raise UsageError('the gf method only covers --patterns "231,321"')
-        return [str(c) for c in series_coefficients(gf_for_k(k), n_max)]
-    if method == "formula":
-        f = formula_for_patterns(ps)
-        if f is None:
-            raise UsageError(f"no closed form is registered for {{{ps.canonical()}}}")
-        return [_cell_text(evaluate(f.formula_id, n, k)) for n in range(n_max + 1)]
-    if method == "generator":
-        if generators.family_for(ps) is None:
-            raise UsageError(
-                f"no structural generator for {{{ps.canonical()}}}; use --method oracle"
-            )
-        generators.check_size(n_max, cap)
-        out = []
-        for n in range(n_max + 1):
-            hist = generators.generate_refined(ps, n, cap=cap)
-            out.append(str(hist[k]) if k <= n else "0")
-        return out
-    cap = _oracle_cap(cap, n_max)
-    out = []
-    for n in range(n_max + 1):
-        row = refined_count(n, ps, cap=cap)
-        out.append(str(row[k]) if k <= n else "0")
-    return out
-
-
 def _cmd_sequence(args) -> int:
     ps = _parse_patterns(args.patterns)
     if args.n_max < 0:
         raise UsageError("--n-max must be nonnegative")
     if args.k < 0:
         raise UsageError("--k must be nonnegative")
-    values = _sequence_values(ps, args.k, args.n_max, args.method, args.cap)
+    k = args.k
+    if args.method == "gf":
+        # A column is the natural unit of the series: one expansion per k.
+        if ps != PatternSet.parse("231,321"):
+            raise UsageError('the gf method only covers --patterns "231,321"')
+        values = [str(c) for c in series_coefficients(gf_for_k(k), args.n_max)]
+    else:
+        # Cells past the diagonal are 0, unless the whole row is out of
+        # domain (a formula below its stated minimum size).
+        values = [
+            row[k] if k < len(row) else (None if row[0] is None else "0")
+            for row in _rows(ps, args.n_max, args.method, args.cap)
+        ]
     if args.format == "json":
         _emit_json({
             "patterns": ps.canonical(),
-            "k": args.k,
+            "k": k,
             "method": args.method,
             "n_max": args.n_max,
             "values": values,

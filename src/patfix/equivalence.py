@@ -23,31 +23,7 @@ __all__ = [
     "orbit",
     "super_wilf_classes",
     "symmetry_classes",
-    "symmetry_group_maps",
 ]
-
-
-def _as_ps(patterns) -> PatternSet:
-    return patterns if isinstance(patterns, PatternSet) else PatternSet(patterns)
-
-
-def symmetry_group_maps() -> tuple[tuple[int, ...], ...]:
-    """The group generated by inverse and reverse-complement, as index
-    maps on the six patterns, closed under composition dynamically."""
-
-    def as_map(fn) -> tuple[int, ...]:
-        return tuple(ALL_PATTERNS.index(fn(p)) for p in ALL_PATTERNS)
-
-    maps = {
-        tuple(range(6)),
-        as_map(Permutation.inverse),
-        as_map(Permutation.reverse_complement),
-    }
-    while True:
-        new = {tuple(m1[i] for i in m2) for m1 in maps for m2 in maps} - maps
-        if not new:
-            return tuple(sorted(maps))
-        maps |= new
 
 
 @dataclass(frozen=True)
@@ -64,7 +40,7 @@ class OrbitClass:
 def orbit(patterns) -> OrbitClass:
     """Closure of {patterns} under elementwise inverse and
     reverse-complement, computed to a fixpoint."""
-    ps = _as_ps(patterns)
+    ps = PatternSet(patterns)
     seen = {ps}
     frontier = [ps]
     while frontier:
@@ -164,7 +140,7 @@ def super_wilf_classes(candidates, n_max: int, *, cap: int | None = None) -> lis
     tables for n = 0..n_max."""
     groups: dict[tuple, set[PatternSet]] = {}
     for candidate in candidates:
-        ps = _as_ps(candidate)
+        ps = PatternSet(candidate)
         groups.setdefault(_table_key(ps, n_max, cap), set()).add(ps)
     classes = [SuperWilfClass(tuple(sorted(g)), n_max) for g in groups.values()]
     return sorted(classes, key=lambda c: c.members[0])
@@ -173,7 +149,7 @@ def super_wilf_classes(candidates, n_max: int, *, cap: int | None = None) -> lis
 def divergence_witness(a, b, n_max: int, *, cap: int | None = None) -> tuple[int, int] | None:
     """First (n, k) at which the refined tables of a and b differ, or
     None when they agree everywhere up to n_max."""
-    pa, pb = _as_ps(a), _as_ps(b)
+    pa, pb = PatternSet(a), PatternSet(b)
     for n in range(n_max + 1):
         ra = refined_count(n, pa, cap=cap)
         rb = refined_count(n, pb, cap=cap)

@@ -4,15 +4,15 @@ Each formula is registered under a stable identifier ("thm-231-312")
 together with the pattern set it counts and the smallest size it is
 stated for.  Evaluation is exact: intermediate values are rationals, and
 a division that fails to reduce to an integer is reported as
-``Undefined.NON_INTEGRAL`` instead of being rounded.  The audit module
-stamps every formula with the verdict of its comparison against the
-brute-force oracle; a formula is transcribed as printed even where the
-oracle ends up disagreeing (see DISCREPANCIES.md).
+``Undefined.NON_INTEGRAL`` instead of being rounded.  A formula is
+transcribed as printed even where the brute-force oracle disagrees; the
+audit module reports such verdicts without changing the registry (see
+DISCREPANCIES.md).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -29,7 +29,6 @@ __all__ = [
     "RECURRENCES",
     "Recurrence",
     "RecurrenceReport",
-    "UNTESTED",
     "Undefined",
     "VERIFIED",
     "evaluate",
@@ -42,7 +41,6 @@ __all__ = [
     "sum_identity",
 ]
 
-UNTESTED = "untested"
 VERIFIED = "verified"
 DISCREPANT = "discrepant"
 
@@ -324,7 +322,7 @@ def _eval3_231_312_321(n: int, k: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Formula:
     """One registered closed form."""
 
@@ -332,7 +330,6 @@ class Formula:
     patterns: PatternSet
     min_n: int
     fn: Callable[[int, int], Union[int, Fraction]]
-    status: str = field(default=UNTESTED)
 
 
 def _registry() -> dict[str, Formula]:
@@ -381,7 +378,7 @@ def get_formula(formula_id: str) -> Formula:
 
 def formula_for_patterns(patterns) -> Formula | None:
     """The formula counting ``patterns``, if one is registered."""
-    pats = patterns if isinstance(patterns, PatternSet) else PatternSet(patterns)
+    pats = PatternSet(patterns)
     for f in REGISTRY.values():
         if f.patterns == pats:
             return f
@@ -478,7 +475,7 @@ def sum_identity(patterns, n: int) -> EvalValue:
     Supported pattern sets: {132,321} (C(n,2) + 1) and {231,321}
     (2^(n-1)), both for n >= 1; anything else is out of domain.
     """
-    pats = patterns if isinstance(patterns, PatternSet) else PatternSet(patterns)
+    pats = PatternSet(patterns)
     fn = _SUM_IDENTITIES.get(pats)
     if fn is None or n < 1:
         return Undefined.OUT_OF_DOMAIN

@@ -292,7 +292,7 @@ def supported_families() -> tuple[StructuralFamily, ...]:
 
 
 def family_for(patterns) -> StructuralFamily | None:
-    ps = patterns if isinstance(patterns, PatternSet) else PatternSet(patterns)
+    ps = PatternSet(patterns)
     return _FAMILIES.get(ps)
 
 
@@ -308,7 +308,7 @@ def check_size(n: int, cap: int | None = None) -> int:
 
 
 def _build(patterns, n: int, cap: int | None) -> list[OnelineTuple]:
-    ps = patterns if isinstance(patterns, PatternSet) else PatternSet(patterns)
+    ps = PatternSet(patterns)
     fam = _FAMILIES.get(ps)
     if fam is None:
         raise UnsupportedFamily(ps)

@@ -9,7 +9,6 @@ recurrence induced by the denominator, never floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -106,28 +105,27 @@ def gf_for_k(k: int) -> RationalGF:
 def series_coefficients(gf: RationalGF, m: int) -> list[int]:
     """First m+1 Maclaurin coefficients of ``gf`` by exact long division.
 
-    Coefficients are guaranteed integral when the denominator's constant
-    term is +-1; any non-integer coefficient raises.
+    The division runs in integers.  A step whose division leaves a
+    remainder yields the first non-integer coefficient and raises; that
+    cannot happen when the denominator's constant term is +-1.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     num, den = gf.numerator, gf.denominator
     d0 = den[0]
-    series: list[Fraction] = []
+    series: list[int] = []
     for i in range(m + 1):
-        acc = Fraction(num[i] if i < len(num) else 0)
+        acc = num[i] if i < len(num) else 0
         for j in range(1, min(i, len(den) - 1) + 1):
             acc -= den[j] * series[i - j]
-        series.append(acc / d0)
-    out: list[int] = []
-    for c in series:
-        if c.denominator != 1:
+        coeff, rem = divmod(acc, d0)
+        if rem:
             raise ValueError(
                 "series has non-integer coefficients; the denominator's "
                 "constant term is not +-1"
             )
-        out.append(int(c))
-    return out
+        series.append(coeff)
+    return series
 
 
 def sum_over_k(k_max: int, m: int) -> list[int]:

@@ -104,12 +104,6 @@ def check_size(n: int, cap: int | None = None) -> int:
     return limit
 
 
-def _as_pattern_set(patterns) -> PatternSet:
-    if isinstance(patterns, PatternSet):
-        return patterns
-    return PatternSet(patterns)
-
-
 def _chunk_stats(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row containment mask and fixed-point count.
 
@@ -182,23 +176,30 @@ def _candidates(n: int) -> Iterator[np.ndarray]:
 
 
 def _run_sweep(n: int) -> _Sweep:
-    rows, masks = [], []
+    # The kept rows go straight into arrays with room for every
+    # candidate, so they are never held twice.  The tail that no kept
+    # row reaches is never written: it takes address space, not memory.
+    room = n * len(_sweep(n - 1).rows) if n else 1
+    rows = np.empty((room, n), dtype=np.int8)
+    masks = np.empty(room, dtype=np.uint8)
+    end = 0
     counts = np.zeros(64 * 16, dtype=np.int64)
     for block in _candidates(n):
         mask, fixed = _chunk_stats(block)
         keep = mask != _FULL
         mask, fixed = mask[keep], fixed[keep]
-        rows.append(block[keep])
-        masks.append(mask)
+        rows[end:end + len(mask)] = block[keep]
+        masks[end:end + len(mask)] = mask
+        end += len(mask)
         counts += np.bincount((mask.astype(np.uint16) << 4) | fixed, minlength=64 * 16)
     histogram = {
         (key >> 4, key & 15): c
         for key, c in enumerate(counts.tolist())
         if c
     }
-    sweep = _Sweep(histogram, np.concatenate(rows), np.concatenate(masks))
-    sweep.rows.flags.writeable = sweep.masks.flags.writeable = False
-    return sweep
+    rows, masks = rows[:end], masks[:end]
+    rows.flags.writeable = masks.flags.writeable = False
+    return _Sweep(histogram, rows, masks)
 
 
 _cache_lock = threading.Lock()
@@ -230,7 +231,7 @@ def refined_count(n: int, patterns, *, cap: int | None = None) -> list[int]:
     """Counts by fixed points: entry k is the number of permutations in
     S_n avoiding every pattern in ``patterns`` with exactly k fixed
     points."""
-    pats = _as_pattern_set(patterns)
+    pats = PatternSet(patterns)
     check_size(n, cap)
     out = [0] * (n + 1)
     tmask = pats.mask
@@ -243,7 +244,7 @@ def refined_count(n: int, patterns, *, cap: int | None = None) -> list[int]:
 def enumerate_avoiders(n: int, patterns, *, cap: int | None = None) -> Iterator[Permutation]:
     """Yield the avoiders of ``patterns`` in S_n, each exactly once, in
     lexicographic order, filtered from the cached rows of size n."""
-    pats = _as_pattern_set(patterns)
+    pats = PatternSet(patterns)
     check_size(n, cap)
     sweep = _sweep(n)
     for entries in (sweep.rows[(sweep.masks & pats.mask) == 0] + 1).tolist():
@@ -277,7 +278,7 @@ class CountTable:
 def count_table(n_max: int, patterns, *, cap: int | None = None) -> CountTable:
     """Rows n = 0..n_max of refined counts.  Backed by the shared
     per-size histogram cache, so repeated queries never re-enumerate."""
-    pats = _as_pattern_set(patterns)
+    pats = PatternSet(patterns)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     limit = check_size(n_max, cap)

@@ -156,12 +156,16 @@ class PatternSet(tuple):
     """Between one and six distinct length-3 patterns, sorted.
 
     The text form is a comma-separated list of compact patterns, e.g.
-    ``"123,132"``; parsing and printing round-trip.
+    ``"123,132"``; parsing and printing round-trip.  Any argument that
+    is already a pattern set is returned as it is, so functions taking
+    text or patterns coerce with a plain ``PatternSet(patterns)``.
     """
 
     __slots__ = ()
 
     def __new__(cls, patterns) -> "PatternSet":
+        if type(patterns) is PatternSet:
+            return patterns
         if isinstance(patterns, str):
             patterns = [part for part in patterns.split(",") if part.strip()]
         pats = set()

@@ -17,7 +17,7 @@ from patfix.audit import (
     audit_vanishing,
     reports_to_json,
 )
-from patfix.formulas import DISCREPANT, UNTESTED, VERIFIED, formula_ids, get_formula
+from patfix.formulas import DISCREPANT, VERIFIED, formula_ids
 
 
 class TestFormulaAudit:
@@ -26,7 +26,6 @@ class TestFormulaAudit:
         assert report.status == VERIFIED
         assert report.counterexample is None
         assert report.cells_checked == sum(n + 1 for n in range(9))
-        assert get_formula("thm-123-321").status == VERIFIED
 
     def test_discrepant_formula_carries_counterexample(self):
         report = audit_formula("thm3-132-213-231", 9)
@@ -34,7 +33,6 @@ class TestFormulaAudit:
         c = report.counterexample
         assert (c.n, c.k) == (4, 0)
         assert (c.formula_value, c.oracle_value) == ("5", "3")
-        assert get_formula("thm3-132-213-231").status == DISCREPANT
 
     def test_wrong_pair_clause_detected(self):
         report = audit_formula("thm-132-231", 9)
@@ -88,7 +86,6 @@ class TestAuditAll:
         assert len(ids) == len(set(ids))
         for r in reports:
             assert r.status in (VERIFIED, DISCREPANT)
-            assert r.status != UNTESTED
 
     def test_expected_discrepancy_set(self):
         reports = audit_all(6)

@@ -125,6 +125,21 @@ class TestSequence:
         payload = json.loads(out)
         assert payload["values"] == ["0", "1", "0", "3", "0", "8"]
 
+    def test_formula_below_its_domain_past_the_diagonal(self, capsys):
+        argv = ("sequence", "--patterns", "132,231", "--k", "5", "--n-max", "7",
+                "--method", "formula")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.strip() == "-,-,-,0,0,1,0,2"
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == [
+            "n,value", "0,", "1,", "2,", "3,0", "4,0", "5,1", "6,0", "7,2",
+        ]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["values"] == [None, None, None, "0", "0", "1", "0", "2"]
+
 
 class TestVerify:
     def test_single_formula_verified(self, capsys):

@@ -77,6 +77,11 @@ class TestSeries:
         with pytest.raises(ValueError):
             series_coefficients(RationalGF((1,), (2, -1)), 3)
 
+    def test_integer_series_with_other_constant_terms(self):
+        assert series_coefficients(RationalGF((2,), (2,)), 2) == [1, 0, 0]
+        # 1 / (-1 + x) = -(1 + x + x^2 + ...)
+        assert series_coefficients(RationalGF((1,), (-1, 1)), 3) == [-1, -1, -1, -1]
+
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
             series_coefficients(gf_for_k(0), -1)
