@@ -10,6 +10,7 @@ decimal string so exactness survives any consumer.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -40,7 +41,9 @@ class UsageError(Exception):
     pass
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="patfix",
         description=(

@@ -10,14 +10,17 @@ divergence from the oracle (see DISCREPANCIES.md for the one known
 case).
 
 Generators scale past the oracle: the default cap is 14, since every
-class here grows at most like 2^n.
+class here grows at most like 2^n.  A recursive family builds every
+size up to n within one call, each from the sizes below it, so the
+module keeps no state between calls.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterator
+from functools import partial
+from typing import Callable
 
 from .oracle import CapExceeded
 from .perms import PatternSet, Permutation
@@ -36,6 +39,7 @@ __all__ = [
 GENERATOR_CAP = 14
 
 OnelineTuple = tuple[int, ...]
+Members = set[OnelineTuple]
 
 
 class UnsupportedFamily(ValueError):
@@ -59,16 +63,14 @@ def _asc(lo: int, hi: int) -> OnelineTuple:
     return tuple(range(lo, hi + 1))
 
 
-def _threshold_chains(n: int) -> Iterator[list[int]]:
-    """All chains n = t_0 > t_1 > ... > t_m = 0 (compositions of n)."""
-    inner = list(range(n - 1, 0, -1))
-    for bits in range(1 << (n - 1)):
-        chain = [n]
-        for idx, t in enumerate(inner):
-            if bits >> idx & 1:
-                chain.append(t)
-        chain.append(0)
-        yield chain
+def _grow(n: int, step: Callable[[int, list[Members]], Members]) -> Members:
+    """Size n of a recursive family.  Sizes 0..n are built in turn within
+    this call, size m as ``step(m, below)`` from the list ``below`` of
+    sizes 0..m-1; nothing outlives the call."""
+    below: list[Members] = [{()}]
+    for m in range(1, n + 1):
+        below.append(step(m, below))
+    return below[n]
 
 
 # ---------------------------------------------------------------------------
@@ -76,32 +78,24 @@ def _threshold_chains(n: int) -> Iterator[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _gen_123_132(n: int) -> set[OnelineTuple]:
+def _step_123_132(n: int, below: list[Members]) -> Members:
     """Blocks with decreasing value ranges, each written as a descending
-    run followed by its maximum."""
-    if n == 0:
-        return {()}
-    out: set[OnelineTuple] = set()
-    for chain in _threshold_chains(n):
-        perm: list[int] = []
-        for hi, lo in zip(chain, chain[1:]):
-            perm.extend(_desc(hi - 1, lo + 1))
-            perm.append(hi)
-        out.add(tuple(perm))
+    run followed by its maximum: a first block on t+1..n, then a member
+    of size t."""
+    out: Members = set()
+    for t in range(n):
+        head = _desc(n - 1, t + 1) + (n,)
+        out.update(head + p for p in below[t])
     return out
 
 
-def _gen_213_132(n: int) -> set[OnelineTuple]:
+def _step_213_132(n: int, below: list[Members]) -> Members:
     """Blocks with decreasing value ranges, each an ascending run of
-    consecutive values."""
-    if n == 0:
-        return {()}
-    out: set[OnelineTuple] = set()
-    for chain in _threshold_chains(n):
-        perm: list[int] = []
-        for hi, lo in zip(chain, chain[1:]):
-            perm.extend(_asc(lo + 1, hi))
-        out.add(tuple(perm))
+    consecutive values: a first block t+1..n, then a member of size t."""
+    out: Members = set()
+    for t in range(n):
+        head = _asc(t + 1, n)
+        out.update(head + p for p in below[t])
     return out
 
 
@@ -125,74 +119,52 @@ def _gen_123_231(n: int) -> set[OnelineTuple]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _gen_132_231(n: int) -> tuple[OnelineTuple, ...]:
+def _step_132_231(n: int, below: list[Members]) -> Members:
     """The maximum is first or last; when first, the rest is a
-    descending block, the value 1, then an ascending block."""
-    if n == 0:
-        return ((),)
-    out: set[OnelineTuple] = {p + (n,) for p in _gen_132_231(n - 1)}
-    if n >= 2:
-        mids = list(range(2, n))
-        for bits in range(1 << len(mids)):
-            chosen = [mids[i] for i in range(len(mids)) if bits >> i & 1]
-            rest = [v for v in mids if v not in chosen]
-            out.add((n,) + tuple(sorted(chosen, reverse=True)) + (1,) + tuple(rest))
-    return tuple(sorted(out))
+    descending block, the value 1, then an ascending block.  Members
+    that start with n come from those of size n-1 that start with n-1
+    (for n = 2, from the single member 1): n-1 goes right after n, into
+    the descending block, or last, into the ascending one."""
+    out = {p + (n,) for p in below[n - 1]}
+    rests = [q[1:] for q in below[n - 1] if q[:1] == (n - 1,)]
+    out.update((n, n - 1) + r for r in rests)
+    out.update((n,) + r + (n - 1,) for r in rests)
+    return out
 
 
-@lru_cache(maxsize=None)
-def _gen_132_321(n: int) -> tuple[OnelineTuple, ...]:
+def _step_132_321(n: int, below: list[Members]) -> Members:
     """The maximum is last, or the values rotate: j+1, ..., n, 1, ..., j."""
-    if n == 0:
-        return ((),)
-    out: set[OnelineTuple] = {p + (n,) for p in _gen_132_321(n - 1)}
-    for j in range(1, n):
-        out.add(_asc(j + 1, n) + _asc(1, j))
-    return tuple(sorted(out))
+    out = {p + (n,) for p in below[n - 1]}
+    out.update(_asc(j + 1, n) + _asc(1, j) for j in range(1, n))
+    return out
 
 
-@lru_cache(maxsize=None)
-def _gen_231_312(n: int) -> tuple[OnelineTuple, ...]:
+def _step_231_312(n: int, below: list[Members]) -> Members:
     """A prefix on the low values followed by the descending tail
     n, n-1, ..., j."""
-    if n == 0:
-        return ((),)
-    out: set[OnelineTuple] = set()
+    out: Members = set()
     for j in range(1, n + 1):
         tail = _desc(n, j)
-        for p in _gen_231_312(j - 1):
-            out.add(p + tail)
-    return tuple(sorted(out))
+        out.update(p + tail for p in below[j - 1])
+    return out
 
 
-@lru_cache(maxsize=None)
-def _gen_231_321(n: int) -> tuple[OnelineTuple, ...]:
+def _step_231_321(n: int, below: list[Members]) -> Members:
     """A prefix on the low values followed by the maximum and then an
     ascending run just below it."""
-    if n == 0:
-        return ((),)
-    out: set[OnelineTuple] = set()
+    out: Members = set()
     for j in range(1, n + 1):
         tail = (n,) + _asc(n - j + 1, n - 1)
-        for p in _gen_231_321(n - j):
-            out.add(p + tail)
-    return tuple(sorted(out))
+        out.update(p + tail for p in below[n - j])
+    return out
 
 
-@lru_cache(maxsize=None)
-def _gen_231_312_321(n: int) -> tuple[OnelineTuple, ...]:
+def _step_231_312_321(n: int, below: list[Members]) -> Members:
     """Starts with 1 or with 2,1; the remainder is shifted up."""
-    if n == 0:
-        return ((),)
-    if n == 1:
-        return ((1,),)
-    out: set[OnelineTuple] = set()
-    for p in _gen_231_312_321(n - 1):
-        out.add((1,) + tuple(v + 1 for v in p))
-    for p in _gen_231_312_321(n - 2):
-        out.add((2, 1) + tuple(v + 2 for v in p))
-    return tuple(sorted(out))
+    out = {(1,) + tuple(v + 1 for v in p) for p in below[n - 1]}
+    if n >= 2:
+        out.update((2, 1) + tuple(v + 2 for v in p) for p in below[n - 2])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +231,7 @@ def _gen_132_231_321(n: int) -> set[OnelineTuple]:
 class StructuralFamily:
     patterns: PatternSet
     kind: str
-    build: Callable[[int], "set[OnelineTuple] | tuple[OnelineTuple, ...]"]
+    build: Callable[[int], Members]
 
 
 _FAMILIES: dict[PatternSet, StructuralFamily] = {}
@@ -270,20 +242,20 @@ def _register(patterns: str, kind: str, build) -> None:
     _FAMILIES[ps] = StructuralFamily(ps, kind, build)
 
 
-_register("123,132", "block-desc", _gen_123_132)
-_register("213,132", "block-asc", _gen_213_132)
+_register("123,132", "block-desc", partial(_grow, step=_step_123_132))
+_register("213,132", "block-asc", partial(_grow, step=_step_213_132))
 _register("123,231", "wedge", _gen_123_231)
-_register("132,231", "max-first-recursive", _gen_132_231)
-_register("132,321", "max-last-recursive", _gen_132_321)
-_register("231,312", "tail-desc-recursive", _gen_231_312)
-_register("231,321", "head-max-recursive", _gen_231_321)
+_register("132,231", "max-first-recursive", partial(_grow, step=_step_132_231))
+_register("132,321", "max-last-recursive", partial(_grow, step=_step_132_321))
+_register("231,312", "tail-desc-recursive", partial(_grow, step=_step_231_312))
+_register("231,321", "head-max-recursive", partial(_grow, step=_step_231_321))
 _register("123,132,231", "one-param", _gen_123_132_231)
 _register("123,231,312", "one-param", _gen_123_231_312)
 _register("132,213,231", "one-param", _gen_132_213_231)
 _register("132,213,321", "one-param", _gen_132_213_321)
 _register("132,231,312", "one-param", _gen_132_231_312)
 _register("132,231,321", "one-param", _gen_132_231_321)
-_register("231,312,321", "prefix-12-recursive", _gen_231_312_321)
+_register("231,312,321", "prefix-12-recursive", partial(_grow, step=_step_231_312_321))
 
 
 def supported_families() -> tuple[StructuralFamily, ...]:
@@ -307,23 +279,25 @@ def check_size(n: int, cap: int | None = None) -> int:
     return limit
 
 
-def _build(patterns, n: int, cap: int | None) -> list[OnelineTuple]:
+def _build(patterns, n: int, cap: int | None) -> Members:
+    """The distinct members of size n, in no particular order."""
     ps = PatternSet(patterns)
     fam = _FAMILIES.get(ps)
     if fam is None:
         raise UnsupportedFamily(ps)
     check_size(n, cap)
-    return sorted(set(fam.build(n)))
+    return fam.build(n)
 
 
 def generate(patterns, n: int, *, cap: int | None = None) -> list[Permutation]:
     """Build the avoidance class directly; deduplicated, lexicographic."""
-    return [Permutation(p) for p in _build(patterns, n, cap)]
+    return [Permutation(p) for p in sorted(_build(patterns, n, cap))]
 
 
 def generate_refined(patterns, n: int, *, cap: int | None = None) -> list[int]:
     """Fixed-point histogram of :func:`generate`, indexed k = 0..n."""
     out = [0] * (n + 1)
+    positions = range(1, n + 1)
     for p in _build(patterns, n, cap):
-        out[sum(1 for i, v in enumerate(p, start=1) if v == i)] += 1
+        out[sum(map(operator.eq, p, positions))] += 1
     return out

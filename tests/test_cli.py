@@ -309,3 +309,55 @@ class TestEntryPoint:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestSharedParser:
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_usage_error_leaves_the_parser_as_it_was(self, capsys):
+        code, out, err = run(capsys, "table", "--patterns", "123", "--n-max", "x")
+        assert code == 2
+        assert "invalid int value" in err and not out
+        argv = ["table", "--patterns", "231,321", "--method", "generator", "--n-max", "9"]
+        code, out, _ = run(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "patfix", *argv], capture_output=True, text=True,
+        )
+        assert code == fresh.returncode == 0
+        assert out == fresh.stdout
+
+    def test_threads_parse_like_a_serial_parse(self):
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        argvs = [
+            ["table", "--patterns", "123,132", "--n-max", "5"],
+            ["table", "--patterns", "231,321", "--n-max", "9", "--method", "generator",
+             "--format", "csv"],
+            ["sequence", "--patterns", "231,321", "--k", "2", "--n-max", "7",
+             "--method", "gf"],
+            ["verify", "--all", "--n-max", "6", "--format", "plain"],
+            ["verify", "--formula", "thm-231-312"],
+            ["classes", "--size", "2", "--mode", "superwilf", "--n-max", "6"],
+            ["gf", "--k", "3", "--terms", "10", "--format", "json"],
+            ["avoiders", "--patterns", "132", "--n", "4", "--cap", "8"],
+        ]
+        parser = cli._build_parser()
+        expected = [parser.parse_args(argv) for argv in argvs]
+        start = threading.Barrier(len(argvs), timeout=10)
+
+        def parse_repeatedly(argv):
+            start.wait()
+            return [parser.parse_args(argv) for _ in range(200)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(argvs)) as pool:
+                futures = [pool.submit(parse_repeatedly, argv) for argv in argvs]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(expected, results):
+            assert all(ns == want for ns in got)

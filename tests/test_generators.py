@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from patfix.formulas import evaluate, formula_ids, get_formula
 from patfix.generators import (
     GENERATOR_CAP,
     UnsupportedFamily,
@@ -114,3 +117,67 @@ class TestDeterminism:
         with ThreadPoolExecutor(max_workers=6) as pool:
             results = list(pool.map(lambda _: generate("231,312,321", 10), range(12)))
         assert all(r == expected for r in results)
+
+
+# sha256 over n = 0..14 of each member's compact() plus "\n", in generate
+# order, taken from the earlier top-down constructions, so that any change
+# to a member list shows past the oracle's reach.  ALL_MEMBERS_DIGEST is
+# the same digest over every family in registration order.
+MEMBER_DIGESTS = {
+    "123,132": "c48d701b66ad8e49c5016807e6605acb9de8b30b1ce783ddfe3df56987cdabfd",
+    "132,213": "b5d4ff80069ff2997d3dd511fdb49a3e01e90c3d303b5244219c8fc2e6e48aa1",
+    "123,231": "5f44d1613869ca4815b1a7e84d46eed21eec4db8632be4c621bd89b2ccd87439",
+    "132,231": "766df13bebcaf522700c2029bce40b810423b7f532ade708626e35bd2e2b2874",
+    "132,321": "79cdf17156ea3c92d1f4348f78439a2ea353e57d152e0c4aa82b928855e2182e",
+    "231,312": "6bdaaa58fd5d5aca6953dd3f8922adeb5cd09eeee7851200af0ddb43d5f64b39",
+    "231,321": "8bb9dccf9f36b3bffc439b8494340d001a4206a0766c8f94549048d21ec9af4a",
+    "123,132,231": "ddf41655c170eb0d9739100e3dc95e80e9bbd50623205a89f3eec0644e09bc20",
+    "123,231,312": "fca71585e0643b510df8db587543a0b38e325c7d90bdf5a96abf9eb27cf513de",
+    "132,213,231": "45c52297eba539602e77f0bdb22b1ab9aef0618cf1d2340e22050d9bf934d43b",
+    "132,213,321": "2e3eafbc5e44d46c4de52abc732bbd87287596bd5e65ee9124bbc66cab7ef73a",
+    "132,231,312": "1116e9bbb0f11d0c332fc8aa8e3eada50caf56bb0c792ba5242bec5fa7f3abc8",
+    "132,231,321": "a48046285c0ec655f9af6b73e530e5b41b738909c4b8f03ecf0c6d335f246361",
+    "231,312,321": "b2871ce1d196cfaca98cc1701b5137555e1d110b32214e4ca7644a452a906cbd",
+}
+ALL_MEMBERS_DIGEST = "104992bc25551cfea82af3aab2a8108f8ba690eb53346c39ad8556a849195ea0"
+
+# Formulas that disagree with their generator past the oracle's reach,
+# with the first cell (n, k, formula, generator); see DISCREPANCIES.md.
+FORMULA_VS_GENERATOR_AT_12_TO_14 = {
+    "thm-132-231": (12, 1, 1366, 682),
+    "thm3-132-213-231": (12, 0, 13, 11),
+}
+
+
+class TestPastTheOracle:
+    def test_members_unchanged_to_the_cap(self):
+        assert GENERATOR_CAP == 14
+        everything = hashlib.sha256()
+        digests = {}
+        for patterns in FAMILIES:
+            h = hashlib.sha256()
+            for n in range(GENERATOR_CAP + 1):
+                for p in generate(patterns, n):
+                    line = (p.compact() + "\n").encode()
+                    h.update(line)
+                    everything.update(line)
+            digests[patterns] = h.hexdigest()
+        assert digests == MEMBER_DIGESTS
+        assert everything.hexdigest() == ALL_MEMBERS_DIGEST
+
+    def test_formulas_against_generators_at_12_to_14(self):
+        first_miss = {}
+        for fid in formula_ids():
+            patterns = get_formula(fid).patterns
+            if family_for(patterns) is None:
+                continue
+            for n in range(12, GENERATOR_CAP + 1):
+                claimed = [evaluate(fid, n, k) for k in range(n + 1)]
+                built = generate_refined(patterns, n)
+                misses = [
+                    (n, k, c, b) for k, (c, b) in enumerate(zip(claimed, built)) if c != b
+                ]
+                if misses:
+                    first_miss[fid] = misses[0]
+                    break
+        assert first_miss == FORMULA_VS_GENERATOR_AT_12_TO_14
