@@ -15,12 +15,16 @@ its entries >= v raised by one.  This is exhaustive: deleting the first
 entry of a permutation that avoids a pattern (and closing the gap in
 the values) leaves a permutation that avoids it, so every kept row of
 S_n comes from exactly one first entry and one kept row of S_{n-1}.
-Each candidate's mask is computed afresh from its entries, and taking
-v in increasing order and the rows of size n-1 in their own order
-yields the rows of size n already in lexicographic order.  Each size is
-built at most once per process, even under concurrent callers: the
-first caller for n builds it (and, first, the sizes below it) while the
-others wait for its result.
+A candidate's mask is its parent row's mask plus the patterns that
+start at v, which six values kept per row decide in O(1) (the
+insertion-step form of the values used for refined restricted
+permutations by Robertson, Saracino and Zeilberger, Ann. Comb. 6, 2002,
+and Elizalde, EJC 11, 2004, #R51); the values of the new row follow from
+its parent's in O(1) as well.  Taking v in increasing order and the rows
+of size n-1 in their own order yields the rows of size n already in
+lexicographic order.  Each size is built at most once per process, even
+under concurrent callers: the first caller for n builds it (and, first,
+the sizes below it) while the others wait for its result.
 
 Counts are plain Python integers end to end; numpy is used only to
 process the rows quickly.
@@ -31,7 +35,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -50,7 +54,7 @@ __all__ = [
     "resolve_cap",
 ]
 
-DEFAULT_CAP = 11
+DEFAULT_CAP = 13
 CAP_ENV_VAR = "PATFIX_ORACLE_CAP"
 
 # Fixed-point counts are packed into 4 bits of the histogram key.
@@ -58,10 +62,6 @@ _HARD_LIMIT = 15
 
 # The mask of a permutation that contains every length-3 pattern.
 _FULL = (1 << 6) - 1
-
-# Candidate rows go through _chunk_stats in blocks of at most this many
-# rows, which bounds the temporary arrays of a sweep.
-_SLICE_ROWS = 1 << 18
 
 
 class CapExceeded(Exception):
@@ -104,102 +104,112 @@ def check_size(n: int, cap: int | None = None) -> int:
     return limit
 
 
-def _chunk_stats(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row containment mask and fixed-point count.
+class _State(NamedTuple):
+    """Six values per row that decide which patterns an occurrence
+    starting at a new first entry v completes, for every v at once.
+    Values are 0-based entries of the row, and a pair is two positions
+    i < j.  With no such pair, m12 and s21 hold -1 and b12 and b21 hold
+    the row's size, below and above every entry.  A bit set holds bits
+    1..n-1 of a row of size n, so it fits in 16 bits because no row is
+    longer than _HARD_LIMIT = 15 entries."""
 
-    Containment is resolved through position pairs: for positions a < b,
-    the prefix minimum/maximum before a and the suffix minimum/maximum
-    after b decide which length-3 patterns the pair can complete.  Every
-    occurrence of a pattern is witnessed by the pair of its last two
-    positions (prefix cases) or first two positions (suffix cases).
-    """
-    chunk = np.asfortranarray(chunk)  # the loops below read whole columns
-    rows, n = chunk.shape
-    fixed = (chunk == np.arange(n, dtype=np.int8)).sum(axis=1, dtype=np.uint8)
-    mask = np.zeros(rows, dtype=np.uint8)
-    if n < 3:
-        return mask, fixed
-    pmin = np.minimum.accumulate(chunk, axis=1)
-    pmax = np.maximum.accumulate(chunk, axis=1)
-    smin = np.minimum.accumulate(chunk[:, ::-1], axis=1)[:, ::-1]
-    smax = np.maximum.accumulate(chunk[:, ::-1], axis=1)[:, ::-1]
-    bits = [np.zeros(rows, dtype=bool) for _ in range(6)]
-    b123, b132, b213, b231, b312, b321 = bits
-    for a in range(n - 1):
-        va = chunk[:, a]
-        for b in range(a + 1, n):
-            vb = chunk[:, b]
-            asc = va < vb
-            desc = ~asc
-            if a >= 1:
-                lo, hi = pmin[:, a - 1], pmax[:, a - 1]
-                b123 |= asc & (lo < va)
-                b132 |= desc & (lo < vb)
-                b312 |= asc & (vb < hi)
-                b321 |= desc & (va < hi)
-            if b <= n - 2:
-                lo, hi = smin[:, b + 1], smax[:, b + 1]
-                b213 |= desc & (va < hi)
-                b231 |= asc & (lo < va)
-    for i, flag in enumerate(bits):
-        mask |= flag * np.uint8(1 << i)
-    return mask, fixed
+    m12: np.ndarray  # int8, largest smaller entry of an ascent pair: 123 iff v <= m12
+    s21: np.ndarray  # int8, largest smaller entry of a descent pair: 132 iff v <= s21
+    i12: np.ndarray  # uint16, union of {a+1..b} over ascent pairs (a, b): 213 iff bit v
+    i21: np.ndarray  # uint16, union of {b+1..a} over descent pairs (a, b): 231 iff bit v
+    b12: np.ndarray  # int8, smallest larger entry of an ascent pair: 312 iff b12 < v
+    b21: np.ndarray  # int8, smallest larger entry of a descent pair: 321 iff b21 < v
 
 
-@dataclass(frozen=True)
+def _new_bits(state: _State, v: int) -> np.ndarray:
+    """Per row, the mask bits of the patterns that start at a new first
+    entry v, in the order of ALL_PATTERNS."""
+    bits = (state.m12 >= v).view(np.uint8)
+    bits |= (state.s21 >= v).view(np.uint8) << 1
+    bits |= ((state.i12 >> v) & 1).astype(np.uint8) << 2
+    bits |= ((state.i21 >> v) & 1).astype(np.uint8) << 3
+    bits |= (state.b12 < v).view(np.uint8) << 4
+    bits |= (state.b21 < v).view(np.uint8) << 5
+    return bits
+
+
+@dataclass
 class _Sweep:
     """The permutations of S_n that avoid some length-3 pattern, as
     lexicographically sorted 0-based rows with their per-row pattern
-    masks, and their (pattern mask, fixed points) -> count histogram."""
+    masks, and their (pattern mask, fixed points) -> count histogram.
+    ``state`` is only kept until size n+1 has been built from it."""
 
     histogram: dict[tuple[int, int], int]
     rows: np.ndarray
     masks: np.ndarray
-
-
-def _candidates(n: int) -> Iterator[np.ndarray]:
-    """S_0 as one block; for n >= 1, every kept row of size n-1 behind
-    every first entry v, with the row's entries >= v raised by one.  The
-    blocks come in lexicographic order, v by v and, for each v, in the
-    order of the rows of size n-1, at most _SLICE_ROWS rows at a time."""
-    if n == 0:
-        yield np.zeros((1, 0), dtype=np.int8)
-        return
-    prev = _sweep(n - 1).rows
-    for v in range(n):
-        for lo in range(0, len(prev), _SLICE_ROWS):
-            tail = prev[lo:lo + _SLICE_ROWS]
-            block = np.empty((len(tail), n), dtype=np.int8)
-            block[:, 0] = v
-            block[:, 1:] = tail + (tail >= v)
-            yield block
+    state: _State | None
 
 
 def _run_sweep(n: int) -> _Sweep:
-    # The kept rows go straight into arrays with room for every
-    # candidate, so they are never held twice.  The tail that no kept
-    # row reaches is never written: it takes address space, not memory.
-    room = n * len(_sweep(n - 1).rows) if n else 1
-    rows = np.empty((room, n), dtype=np.int8)
-    masks = np.empty(room, dtype=np.uint8)
-    end = 0
+    if n == 0:  # one empty row, which has no pairs
+        below, above = np.full(1, -1, dtype=np.int8), np.zeros(1, dtype=np.int8)
+        no_bits = np.zeros(1, dtype=np.uint16)
+        state = _State(below, below, no_bits, no_bits, above, above)
+        return _Sweep({(0, 0): 1}, np.zeros((1, 0), dtype=np.int8),
+                      np.zeros(1, dtype=np.uint8), state)
+    prev = _sweep(n - 1)
+    # A candidate is a kept row r of size n-1 behind a first entry v.  An
+    # occurrence that does not use position 0 is one of r's, so its mask
+    # is r's mask plus the patterns that start at v.  Every v's masks are
+    # computed first, so the kept rows can be written straight into
+    # arrays of their final size.
+    new = [prev.masks | _new_bits(prev.state, v) for v in range(n)]
+    total = sum(int(np.count_nonzero(mask != _FULL)) for mask in new)
+    rows = np.empty((total, n), dtype=np.int8)
+    masks = np.empty(len(rows), dtype=np.uint8)
+    state = _State(*(np.empty(len(rows), dtype=a.dtype) for a in prev.state))
     counts = np.zeros(64 * 16, dtype=np.int64)
-    for block in _candidates(n):
-        mask, fixed = _chunk_stats(block)
-        keep = mask != _FULL
-        mask, fixed = mask[keep], fixed[keep]
-        rows[end:end + len(mask)] = block[keep]
-        masks[end:end + len(mask)] = mask
-        end += len(mask)
+    positions = np.arange(n, dtype=np.int8)
+    end = 0
+    for v in range(n):
+        # Each v's masks and raised rows are dropped as soon as they are
+        # written, which lowers the peak memory of large sizes.
+        candidates, new[v] = new[v], None
+        keep = np.flatnonzero(candidates != _FULL)
+        part = slice(end, end + len(keep))
+        end = part.stop
+        tail = prev.rows.take(keep, axis=0)
+        tail += tail >= v
+        block = rows[part]
+        block[:, 0] = v
+        block[:, 1:] = tail
+        del tail
+        mask = candidates.take(keep, out=masks[part])
+        fixed = (block == positions).sum(axis=1, dtype=np.uint8)
         counts += np.bincount((mask.astype(np.uint16) << 4) | fixed, minlength=64 * 16)
+        # Raise r's values to those of the new row: entries >= v move up
+        # by one, and so does every bit >= v, while bit v stays.
+        m12, s21, i12, i21, b12, b21 = (
+            a.take(keep, out=out[part]) for a, out in zip(prev.state, state)
+        )
+        low = (1 << (v + 1)) - 1
+        for x in (m12, s21, b12, b21):
+            x += x >= v
+        for x in (i12, i21):
+            x[:] = (x & low) | ((x >> v) << (v + 1))
+        # Then add the pairs (v, x) for every later entry x.
+        if v < n - 1:
+            np.maximum(m12, v, out=m12)
+            np.minimum(b12, v + 1, out=b12)
+            i12 |= ((1 << n) - 1) ^ low
+        if v > 0:
+            np.maximum(s21, v - 1, out=s21)
+            np.minimum(b21, v, out=b21)
+            i21 |= low ^ 1
+    prev.state = None
     histogram = {
         (key >> 4, key & 15): c
         for key, c in enumerate(counts.tolist())
         if c
     }
-    rows, masks = rows[:end], masks[:end]
     rows.flags.writeable = masks.flags.writeable = False
-    return _Sweep(histogram, rows, masks)
+    return _Sweep(histogram, rows, masks, state)
 
 
 _cache_lock = threading.Lock()

@@ -1,8 +1,51 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from patfix import oracle
+
+
+def chunk_stats(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row containment mask and fixed-point count.
+
+    Containment is resolved through position pairs: for positions a < b,
+    the prefix minimum/maximum before a and the suffix minimum/maximum
+    after b decide which length-3 patterns the pair can complete.  Every
+    occurrence of a pattern is witnessed by the pair of its last two
+    positions (prefix cases) or first two positions (suffix cases).
+    """
+    chunk = np.asfortranarray(chunk)  # the loops below read whole columns
+    rows, n = chunk.shape
+    fixed = (chunk == np.arange(n, dtype=np.int8)).sum(axis=1, dtype=np.uint8)
+    mask = np.zeros(rows, dtype=np.uint8)
+    if n < 3:
+        return mask, fixed
+    pmin = np.minimum.accumulate(chunk, axis=1)
+    pmax = np.maximum.accumulate(chunk, axis=1)
+    smin = np.minimum.accumulate(chunk[:, ::-1], axis=1)[:, ::-1]
+    smax = np.maximum.accumulate(chunk[:, ::-1], axis=1)[:, ::-1]
+    bits = [np.zeros(rows, dtype=bool) for _ in range(6)]
+    b123, b132, b213, b231, b312, b321 = bits
+    for a in range(n - 1):
+        va = chunk[:, a]
+        for b in range(a + 1, n):
+            vb = chunk[:, b]
+            asc = va < vb
+            desc = ~asc
+            if a >= 1:
+                lo, hi = pmin[:, a - 1], pmax[:, a - 1]
+                b123 |= asc & (lo < va)
+                b132 |= desc & (lo < vb)
+                b312 |= asc & (vb < hi)
+                b321 |= desc & (va < hi)
+            if b <= n - 2:
+                lo, hi = smin[:, b + 1], smax[:, b + 1]
+                b213 |= desc & (va < hi)
+                b231 |= asc & (lo < va)
+    for i, flag in enumerate(bits):
+        mask |= flag * np.uint8(1 << i)
+    return mask, fixed
 
 
 @pytest.fixture

@@ -7,6 +7,9 @@ import pytest
 from patfix import cli, generators, oracle
 from patfix.cli import main
 
+# One above the oracle's default cap: refused unless a cap is given.
+ABOVE_CAP = str(oracle.DEFAULT_CAP + 1)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -81,7 +84,7 @@ class TestTable:
         assert "error" in err
 
     def test_cap_exceeded(self, capsys):
-        code, _, err = run(capsys, "table", "--patterns", "123", "--n-max", "12")
+        code, _, err = run(capsys, "table", "--patterns", "123", "--n-max", ABOVE_CAP)
         assert code == 3
         assert "cap" in err
 
@@ -255,12 +258,12 @@ class TestAvoiders:
 
 class TestFailFast:
     @pytest.mark.parametrize("argv", [
-        ["table", "--patterns", "123", "--n-max", "12"],
-        ["sequence", "--patterns", "123", "--k", "0", "--n-max", "12"],
-        ["verify", "--all", "--n-max", "12"],
-        ["verify", "--formula", "thm-231-312", "--n-max", "12"],
-        ["classes", "--size", "1", "--mode", "superwilf", "--n-max", "12"],
-        ["avoiders", "--patterns", "123", "--n", "12"],
+        ["table", "--patterns", "123", "--n-max", ABOVE_CAP],
+        ["sequence", "--patterns", "123", "--k", "0", "--n-max", ABOVE_CAP],
+        ["verify", "--all", "--n-max", ABOVE_CAP],
+        ["verify", "--formula", "thm-231-312", "--n-max", ABOVE_CAP],
+        ["classes", "--size", "1", "--mode", "superwilf", "--n-max", ABOVE_CAP],
+        ["avoiders", "--patterns", "123", "--n", ABOVE_CAP],
         ["table", "--patterns", "123", "--n-max", "16", "--cap", "20"],
     ])
     def test_oracle_cap_refused_before_any_sweep(self, capsys, sweeps, argv):

@@ -146,3 +146,21 @@ class TestSuperWilf:
             for combo in itertools.combinations(ALL_PATTERNS, size):
                 orb = orbit(PatternSet(combo))
                 assert len(super_wilf_classes(orb.members, 6)) == 1
+
+    def test_all_pattern_sets_at_twelve(self):
+        # Over all 63 sets the refined tables to n = 12 fall into 34
+        # classes, and the one equality the two symmetries do not explain
+        # is {132} ~ {321} (Robertson-Saracino-Zeilberger; Elizalde).
+        all_sets = [
+            PatternSet(combo)
+            for size in range(1, 7)
+            for combo in itertools.combinations(ALL_PATTERNS, size)
+        ]
+        classes = super_wilf_classes(all_sets, 12, cap=12)
+        assert len(classes) == 34
+        spanning = [
+            {m.canonical() for m in c.members}
+            for c in classes
+            if len({orbit(m).representative for m in c.members}) > 1
+        ]
+        assert spanning == [{"132", "213", "321"}]

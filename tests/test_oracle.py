@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import sys
 import threading
@@ -7,11 +8,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from conftest import chunk_stats
 
 from patfix import oracle
 from patfix.audit import audit_all
 from patfix.oracle import (
     CAP_ENV_VAR,
+    DEFAULT_CAP,
     CapExceeded,
     clear_cache,
     count_table,
@@ -179,9 +182,9 @@ class TestSharedSweep:
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_every_pattern_set_matches_the_full_histogram(self, n):
-        # Reference: _chunk_stats over all of S_n, which the test above
+        # Reference: chunk_stats over all of S_n, which the test above
         # ties to Permutation.contains for n <= 7.
-        mask, fixed = oracle._chunk_stats(
+        mask, fixed = chunk_stats(
             np.array(list(itertools.permutations(range(n))), dtype=np.int8)
         )
         histogram = Counter(zip(mask.tolist(), fixed.tolist()))
@@ -211,14 +214,30 @@ class TestSharedSweep:
             assert sweep.rows.tolist() == expected_rows, n
             assert sweep.masks.tolist() == expected_masks, n
 
-    def test_small_slices_build_the_same_rows(self, sweeps, monkeypatch):
-        whole = oracle._sweep(7)
-        clear_cache()
-        monkeypatch.setattr(oracle, "_SLICE_ROWS", 5)
-        sliced = oracle._sweep(7)
-        assert np.array_equal(sliced.rows, whole.rows)
-        assert np.array_equal(sliced.masks, whole.masks)
-        assert sliced.histogram == whole.histogram
+    def test_cached_masks_and_fixed_points_match_the_reference(self):
+        # The incremental masks against chunk_stats, which resolves every
+        # row's containment from its own entries.
+        for n in range(10):
+            sweep = oracle._sweep(n)
+            mask, fixed = chunk_stats(sweep.rows)
+            assert np.array_equal(sweep.masks, mask), n
+            assert Counter(zip(mask.tolist(), fixed.tolist())) == sweep.histogram, n
+
+    @pytest.mark.parametrize("n, count, digest", [
+        (10, 95_774, "03dcc848705ebf5137d4b23ca9a32c038b2f430b9006873fba247a7387343eb1"),
+        (11, 342_678, "cdfacf81c06ec3264d812d1b71c72990c0344b990dbea856767a6b84bbb8bd4a"),
+        (12, 1_227_942, "8c8f894dbc31eb898e821d20b82f4880fa633467e72081ffcfab995abdd088ce"),
+    ], ids=["n10", "n11", "n12"])
+    def test_rows_masks_and_histogram_are_pinned(self, n, count, digest):
+        # Recorded from the build that resolved every candidate's mask
+        # from its own entries, as chunk_stats does.
+        sweep = oracle._sweep(n)
+        h = hashlib.sha256()
+        h.update(sweep.rows.tobytes())
+        h.update(sweep.masks.tobytes())
+        h.update(repr(sorted(sweep.histogram.items())).encode())
+        assert len(sweep.rows) == count
+        assert h.hexdigest() == digest
 
     def test_audit_sweeps_each_size_once(self, sweeps):
         audit_all(9)
@@ -265,10 +284,10 @@ class TestSharedSweep:
 
     def test_cap_refused_before_any_sweep(self, sweeps):
         with pytest.raises(CapExceeded):
-            count_table(12, "123")
+            count_table(DEFAULT_CAP + 1, "123")
         with pytest.raises(CapExceeded) as exc:
             count_table(16, "123", cap=20)
         assert exc.value.cap == 15
         with pytest.raises(CapExceeded):
-            next(enumerate_avoiders(12, "123"))
+            next(enumerate_avoiders(DEFAULT_CAP + 1, "123"))
         assert not sweeps
