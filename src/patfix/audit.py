@@ -14,8 +14,9 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import formulas, generators
 from .equivalence import divergence_witness, super_wilf_classes
@@ -30,7 +31,13 @@ from .formulas import (
     sum_identity,
 )
 from .genfun import gf_for_k, series_coefficients, sum_over_k
-from .oracle import enumerate_avoiders, refined_count
+from .oracle import (
+    avoider_rows,
+    check_size,
+    enumerate_avoiders,
+    fixed_points,
+    refined_count,
+)
 from .perms import ALL_PATTERNS, PatternSet
 
 __all__ = [
@@ -170,18 +177,25 @@ def audit_formula(formula_id: str, n_max: int, *, cap: int | None = None) -> Aud
 
 def audit_generator(patterns, n_max: int, *, cap: int | None = None) -> AuditReport:
     """Set equality of the structural construction against the oracle
-    enumeration, plus the refined histogram cell by cell."""
+    enumeration, plus the refined histogram cell by cell.  The oracle's
+    cap bounds the audit, so the generator runs under it too, and an
+    oversized n_max is refused before anything is built."""
     ps = PatternSet(patterns)
-    built = [generators.generate(ps, n) for n in range(n_max + 1)]
-    hists = [Counter(p.fixed_point_count() for p in perms) for perms in built]
+    cap = check_size(n_max, cap)
+    built = [generators.generate_rows(ps, n, cap=cap) for n in range(n_max + 1)]
+    hists = [
+        np.bincount(fixed_points(rows), minlength=n + 1).tolist()
+        for n, rows in enumerate(built)
+    ]
     tally = _compare_cells(ps, n_max, lambda n, k: hists[n][k], cap)
     detail = ""
-    for n, perms in enumerate(built):
-        truth = list(enumerate_avoiders(n, ps, cap=cap))
-        if perms == truth:
+    for n, rows in enumerate(built):
+        if np.array_equal(rows, avoider_rows(n, ps, cap=cap)):
             continue
-        spurious = sorted(set(perms) - set(truth))
-        missing = sorted(set(truth) - set(perms))
+        perms = set(generators.generate(ps, n, cap=cap))
+        truth = set(enumerate_avoiders(n, ps, cap=cap))
+        spurious = sorted(perms - truth)
+        missing = sorted(truth - perms)
         first_spurious = spurious[0].compact() if spurious else "-"
         first_missing = missing[0].compact() if missing else "-"
         detail = (

@@ -9,6 +9,17 @@ members, the generator keeps the printed form and the audit records the
 divergence from the oracle (see DISCREPANCIES.md for the one known
 case).
 
+The members of size n are one integer array with a member per row,
+holding 0-based values as the oracle's rows do: entry v of a member is
+v - 1 in its row.  Docstrings give the constructions in 1-based values,
+as printed.  A recursive step writes each size's rows in blocks: a
+constant head or tail is broadcast across a block, and a smaller size's
+rows are copied in, raised by a constant where the step shifts values.
+The one-parameter and wedge families build their few members as tuples,
+converted to rows once.  Every family's rows are then sorted and
+deduplicated in one place, and the fixed-point histogram is one count
+over the rows.
+
 Generators scale past the oracle: the default cap is 14, since every
 class here grows at most like 2^n.  A recursive family builds every
 size up to n within one call, each from the sizes below it, so the
@@ -17,12 +28,13 @@ module keeps no state between calls.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .oracle import CapExceeded
+import numpy as np
+
+from .oracle import CapExceeded, fixed_points
 from .perms import PatternSet, Permutation
 
 __all__ = [
@@ -33,13 +45,17 @@ __all__ = [
     "family_for",
     "generate",
     "generate_refined",
+    "generate_rows",
     "supported_families",
 ]
 
 GENERATOR_CAP = 14
 
 OnelineTuple = tuple[int, ...]
-Members = set[OnelineTuple]
+
+# Row entries; int8 would wrap for members longer than 128, which an
+# explicit cap allows.
+_ROW = np.int16
 
 
 class UnsupportedFamily(ValueError):
@@ -63,11 +79,31 @@ def _asc(lo: int, hi: int) -> OnelineTuple:
     return tuple(range(lo, hi + 1))
 
 
-def _grow(n: int, step: Callable[[int, list[Members]], Members]) -> Members:
+def _stack(n: int, blocks) -> np.ndarray:
+    """Rows of size n, block after block.  A block is a sequence of
+    pieces placed left to right: an array of rows gives each of the
+    block's rows its own entries, and a tuple of values gives every row
+    the same ones."""
+    blocks = [[np.asarray(piece) for piece in pieces] for pieces in blocks]
+    counts = [next(len(p) for p in pieces if p.ndim == 2) for pieces in blocks]
+    out = np.empty((sum(counts), n), dtype=_ROW)
+    top = 0
+    for pieces, count in zip(blocks, counts):
+        rows = out[top:top + count]
+        left = 0
+        for piece in pieces:
+            width = piece.shape[-1]
+            rows[:, left:left + width] = piece
+            left += width
+        top += count
+    return out
+
+
+def _grow(n: int, step: Callable[[int, list[np.ndarray]], np.ndarray]) -> np.ndarray:
     """Size n of a recursive family.  Sizes 0..n are built in turn within
     this call, size m as ``step(m, below)`` from the list ``below`` of
     sizes 0..m-1; nothing outlives the call."""
-    below: list[Members] = [{()}]
+    below = [np.zeros((1, 0), dtype=_ROW)]
     for m in range(1, n + 1):
         below.append(step(m, below))
     return below[n]
@@ -78,25 +114,17 @@ def _grow(n: int, step: Callable[[int, list[Members]], Members]) -> Members:
 # ---------------------------------------------------------------------------
 
 
-def _step_123_132(n: int, below: list[Members]) -> Members:
+def _step_123_132(n: int, below: list[np.ndarray]) -> np.ndarray:
     """Blocks with decreasing value ranges, each written as a descending
     run followed by its maximum: a first block on t+1..n, then a member
     of size t."""
-    out: Members = set()
-    for t in range(n):
-        head = _desc(n - 1, t + 1) + (n,)
-        out.update(head + p for p in below[t])
-    return out
+    return _stack(n, ((_desc(n - 2, t), (n - 1,), below[t]) for t in range(n)))
 
 
-def _step_213_132(n: int, below: list[Members]) -> Members:
+def _step_213_132(n: int, below: list[np.ndarray]) -> np.ndarray:
     """Blocks with decreasing value ranges, each an ascending run of
     consecutive values: a first block t+1..n, then a member of size t."""
-    out: Members = set()
-    for t in range(n):
-        head = _asc(t + 1, n)
-        out.update(head + p for p in below[t])
-    return out
+    return _stack(n, ((_asc(t, n - 1), below[t]) for t in range(n)))
 
 
 def _gen_123_231(n: int) -> set[OnelineTuple]:
@@ -119,52 +147,46 @@ def _gen_123_231(n: int) -> set[OnelineTuple]:
 # ---------------------------------------------------------------------------
 
 
-def _step_132_231(n: int, below: list[Members]) -> Members:
+def _step_132_231(n: int, below: list[np.ndarray]) -> np.ndarray:
     """The maximum is first or last; when first, the rest is a
     descending block, the value 1, then an ascending block.  Members
     that start with n come from those of size n-1 that start with n-1
     (for n = 2, from the single member 1): n-1 goes right after n, into
     the descending block, or last, into the ascending one."""
-    out = {p + (n,) for p in below[n - 1]}
-    rests = [q[1:] for q in below[n - 1] if q[:1] == (n - 1,)]
-    out.update((n, n - 1) + r for r in rests)
-    out.update((n,) + r + (n - 1,) for r in rests)
-    return out
+    prev = below[n - 1]
+    blocks = [(prev, (n - 1,))]
+    if n >= 2:
+        rests = prev[prev[:, 0] == n - 2, 1:]
+        blocks.append(((n - 1, n - 2), rests))
+        if n > 2:  # at n = 2 both placements give 2,1
+            blocks.append(((n - 1,), rests, (n - 2,)))
+    return _stack(n, blocks)
 
 
-def _step_132_321(n: int, below: list[Members]) -> Members:
+def _step_132_321(n: int, below: list[np.ndarray]) -> np.ndarray:
     """The maximum is last, or the values rotate: j+1, ..., n, 1, ..., j."""
-    out = {p + (n,) for p in below[n - 1]}
-    out.update(_asc(j + 1, n) + _asc(1, j) for j in range(1, n))
-    return out
+    rotations = (np.arange(1, n)[:, None] + np.arange(n)) % n
+    return _stack(n, [(below[n - 1], (n - 1,)), (rotations,)])
 
 
-def _step_231_312(n: int, below: list[Members]) -> Members:
+def _step_231_312(n: int, below: list[np.ndarray]) -> np.ndarray:
     """A prefix on the low values followed by the descending tail
     n, n-1, ..., j."""
-    out: Members = set()
-    for j in range(1, n + 1):
-        tail = _desc(n, j)
-        out.update(p + tail for p in below[j - 1])
-    return out
+    return _stack(n, ((below[j], _desc(n - 1, j)) for j in range(n)))
 
 
-def _step_231_321(n: int, below: list[Members]) -> Members:
+def _step_231_321(n: int, below: list[np.ndarray]) -> np.ndarray:
     """A prefix on the low values followed by the maximum and then an
     ascending run just below it."""
-    out: Members = set()
-    for j in range(1, n + 1):
-        tail = (n,) + _asc(n - j + 1, n - 1)
-        out.update(p + tail for p in below[n - j])
-    return out
+    return _stack(n, ((below[t], (n - 1,), _asc(t, n - 2)) for t in range(n)))
 
 
-def _step_231_312_321(n: int, below: list[Members]) -> Members:
+def _step_231_312_321(n: int, below: list[np.ndarray]) -> np.ndarray:
     """Starts with 1 or with 2,1; the remainder is shifted up."""
-    out = {(1,) + tuple(v + 1 for v in p) for p in below[n - 1]}
+    blocks = [((0,), below[n - 1] + 1)]
     if n >= 2:
-        out.update((2, 1) + tuple(v + 2 for v in p) for p in below[n - 2])
-    return out
+        blocks.append(((1, 0), below[n - 2] + 2))
+    return _stack(n, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +253,13 @@ def _gen_132_231_321(n: int) -> set[OnelineTuple]:
 class StructuralFamily:
     patterns: PatternSet
     kind: str
-    build: Callable[[int], Members]
+    build: Callable[[int], np.ndarray]
+
+
+def _members(n: int, gen: Callable[[int], set[OnelineTuple]]) -> np.ndarray:
+    """The members that ``gen`` builds as tuples, as 0-based rows."""
+    members = gen(n)
+    return np.array(list(members), dtype=_ROW).reshape(len(members), n) - 1
 
 
 _FAMILIES: dict[PatternSet, StructuralFamily] = {}
@@ -244,17 +272,17 @@ def _register(patterns: str, kind: str, build) -> None:
 
 _register("123,132", "block-desc", partial(_grow, step=_step_123_132))
 _register("213,132", "block-asc", partial(_grow, step=_step_213_132))
-_register("123,231", "wedge", _gen_123_231)
+_register("123,231", "wedge", partial(_members, gen=_gen_123_231))
 _register("132,231", "max-first-recursive", partial(_grow, step=_step_132_231))
 _register("132,321", "max-last-recursive", partial(_grow, step=_step_132_321))
 _register("231,312", "tail-desc-recursive", partial(_grow, step=_step_231_312))
 _register("231,321", "head-max-recursive", partial(_grow, step=_step_231_321))
-_register("123,132,231", "one-param", _gen_123_132_231)
-_register("123,231,312", "one-param", _gen_123_231_312)
-_register("132,213,231", "one-param", _gen_132_213_231)
-_register("132,213,321", "one-param", _gen_132_213_321)
-_register("132,231,312", "one-param", _gen_132_231_312)
-_register("132,231,321", "one-param", _gen_132_231_321)
+_register("123,132,231", "one-param", partial(_members, gen=_gen_123_132_231))
+_register("123,231,312", "one-param", partial(_members, gen=_gen_123_231_312))
+_register("132,213,231", "one-param", partial(_members, gen=_gen_132_213_231))
+_register("132,213,321", "one-param", partial(_members, gen=_gen_132_213_321))
+_register("132,231,312", "one-param", partial(_members, gen=_gen_132_231_312))
+_register("132,231,321", "one-param", partial(_members, gen=_gen_132_231_321))
 _register("231,312,321", "prefix-12-recursive", partial(_grow, step=_step_231_312_321))
 
 
@@ -279,25 +307,33 @@ def check_size(n: int, cap: int | None = None) -> int:
     return limit
 
 
-def _build(patterns, n: int, cap: int | None) -> Members:
-    """The distinct members of size n, in no particular order."""
+def _sorted_distinct(rows: np.ndarray) -> np.ndarray:
+    """``rows`` in lexicographic order, each once."""
+    if rows.shape[1] == 0:  # no sort keys: every row is the empty member
+        return rows[:1]
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
+def generate_rows(patterns, n: int, *, cap: int | None = None) -> np.ndarray:
+    """The members of size n as 0-based rows, distinct and in
+    lexicographic order, like the oracle's avoider rows."""
     ps = PatternSet(patterns)
     fam = _FAMILIES.get(ps)
     if fam is None:
         raise UnsupportedFamily(ps)
     check_size(n, cap)
-    return fam.build(n)
+    return _sorted_distinct(fam.build(n))
 
 
 def generate(patterns, n: int, *, cap: int | None = None) -> list[Permutation]:
     """Build the avoidance class directly; deduplicated, lexicographic."""
-    return [Permutation(p) for p in sorted(_build(patterns, n, cap))]
+    return [Permutation(p) for p in (generate_rows(patterns, n, cap=cap) + 1).tolist()]
 
 
 def generate_refined(patterns, n: int, *, cap: int | None = None) -> list[int]:
     """Fixed-point histogram of :func:`generate`, indexed k = 0..n."""
-    out = [0] * (n + 1)
-    positions = range(1, n + 1)
-    for p in _build(patterns, n, cap):
-        out[sum(map(operator.eq, p, positions))] += 1
-    return out
+    rows = generate_rows(patterns, n, cap=cap)
+    return np.bincount(fixed_points(rows), minlength=n + 1).tolist()

@@ -46,10 +46,12 @@ __all__ = [
     "CapExceeded",
     "CountTable",
     "DEFAULT_CAP",
+    "avoider_rows",
     "check_size",
     "clear_cache",
     "count_table",
     "enumerate_avoiders",
+    "fixed_points",
     "refined_count",
     "resolve_cap",
 ]
@@ -133,6 +135,16 @@ def _new_bits(state: _State, v: int) -> np.ndarray:
     return bits
 
 
+def fixed_points(rows: np.ndarray) -> np.ndarray:
+    """Per row of 0-based entries, the number of fixed points (entry j at
+    column j).  One column at a time, so no temporary is larger than a
+    column."""
+    fixed = np.zeros(len(rows), dtype=np.min_scalar_type(rows.shape[1]))
+    for j in range(rows.shape[1]):
+        fixed += rows[:, j] == j
+    return fixed
+
+
 @dataclass
 class _Sweep:
     """The permutations of S_n that avoid some length-3 pattern, as
@@ -165,7 +177,6 @@ def _run_sweep(n: int) -> _Sweep:
     masks = np.empty(len(rows), dtype=np.uint8)
     state = _State(*(np.empty(len(rows), dtype=a.dtype) for a in prev.state))
     counts = np.zeros(64 * 16, dtype=np.int64)
-    positions = np.arange(n, dtype=np.int8)
     end = 0
     for v in range(n):
         # Each v's masks and raised rows are dropped as soon as they are
@@ -181,8 +192,8 @@ def _run_sweep(n: int) -> _Sweep:
         block[:, 1:] = tail
         del tail
         mask = candidates.take(keep, out=masks[part])
-        fixed = (block == positions).sum(axis=1, dtype=np.uint8)
-        counts += np.bincount((mask.astype(np.uint16) << 4) | fixed, minlength=64 * 16)
+        counts += np.bincount((mask.astype(np.uint16) << 4) | fixed_points(block),
+                              minlength=64 * 16)
         # Raise r's values to those of the new row: entries >= v move up
         # by one, and so does every bit >= v, while bit v stays.
         m12, s21, i12, i21, b12, b21 = (
@@ -251,13 +262,20 @@ def refined_count(n: int, patterns, *, cap: int | None = None) -> list[int]:
     return out
 
 
-def enumerate_avoiders(n: int, patterns, *, cap: int | None = None) -> Iterator[Permutation]:
-    """Yield the avoiders of ``patterns`` in S_n, each exactly once, in
-    lexicographic order, filtered from the cached rows of size n."""
+def avoider_rows(n: int, patterns, *, cap: int | None = None) -> np.ndarray:
+    """The avoiders of ``patterns`` in S_n as 0-based rows (entry v is
+    v - 1), in lexicographic order, filtered from the cached rows of
+    size n."""
     pats = PatternSet(patterns)
     check_size(n, cap)
     sweep = _sweep(n)
-    for entries in (sweep.rows[(sweep.masks & pats.mask) == 0] + 1).tolist():
+    return sweep.rows[(sweep.masks & pats.mask) == 0]
+
+
+def enumerate_avoiders(n: int, patterns, *, cap: int | None = None) -> Iterator[Permutation]:
+    """Yield the avoiders of ``patterns`` in S_n, each exactly once, in
+    lexicographic order."""
+    for entries in (avoider_rows(n, patterns, cap=cap) + 1).tolist():
         yield Permutation(entries)
 
 

@@ -1,10 +1,15 @@
+import dataclasses
+import itertools
 import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from patfix import generators
 from patfix.audit import (
+    ROW_LEVEL,
     audit_all,
     audit_formula,
     audit_generator,
@@ -18,6 +23,8 @@ from patfix.audit import (
     reports_to_json,
 )
 from patfix.formulas import DISCREPANT, VERIFIED, formula_ids
+from patfix.oracle import DEFAULT_CAP, CapExceeded
+from patfix.perms import PatternSet, Permutation
 
 
 class TestFormulaAudit:
@@ -58,6 +65,48 @@ class TestOtherItems:
         assert bad.status == DISCREPANT
         assert (bad.counterexample.n, bad.counterexample.k) == (2, 2)
         assert "missing=12" in bad.detail
+
+    def test_same_histogram_different_members(self, monkeypatch):
+        # Swap one member of size 4 for a non-member with as many fixed
+        # points, so every histogram cell agrees and only the sets differ.
+        ps = PatternSet.parse("231,312")
+        family = generators.family_for(ps)
+        members = generators.generate(ps, 4)
+        others = [
+            p for p in map(Permutation, itertools.permutations(range(1, 5)))
+            if p not in members
+        ]
+        missing, spurious = next(
+            (m, o) for m in members for o in others
+            if m.fixed_point_count() == o.fixed_point_count()
+        )
+
+        def build(n):
+            rows = family.build(n)
+            if n == 4:
+                rows = rows.copy()
+                rows[(rows == np.array(missing) - 1).all(axis=1)] = np.array(spurious) - 1
+            return rows
+
+        monkeypatch.setitem(generators._FAMILIES, ps, dataclasses.replace(family, build=build))
+        report = audit_generator(ps, 6)
+        assert report.status == DISCREPANT
+        c = report.counterexample
+        assert (c.n, c.k) == (4, ROW_LEVEL)
+        assert (c.formula_value, c.oracle_value) == (spurious.compact(), missing.compact())
+        assert report.detail == (
+            f"sets first differ at n=4 (spurious={spurious.compact()}, "
+            f"missing={missing.compact()})"
+        )
+        assert report.cells_checked == sum(n + 1 for n in range(7)) + 1
+
+    def test_generator_audit_refused_before_any_build(self, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("generator ran past the oracle cap")
+
+        monkeypatch.setattr(generators, "generate_rows", build)
+        with pytest.raises(CapExceeded):
+            audit_generator("231,312", DEFAULT_CAP + 1)
 
     def test_recurrence_items(self):
         for fid in ("thm-132-231", "thm-231-312", "thm-231-321", "thm3-231-312-321"):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from patfix.cli import main
 
 # One above the oracle's default cap: refused unless a cap is given.
 ABOVE_CAP = str(oracle.DEFAULT_CAP + 1)
+
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "goldens"
 
 
 def run(capsys, *argv):
@@ -161,6 +164,18 @@ class TestVerify:
         assert by_id["thm3-132-213-231"]["status"] == "discrepant"
         assert by_id["thm3-132-213-231"]["counterexample"]["n"] == 4
         assert by_id["thm-231-312"]["status"] == "verified"
+
+    def test_generator_audits_run_under_the_oracle_cap(self, capsys, monkeypatch):
+        # The audit's cap bounds its generators too, so a generator cap
+        # below the audited size must not refuse the command.
+        monkeypatch.delenv(oracle.CAP_ENV_VAR, raising=False)
+        monkeypatch.setattr(generators, "GENERATOR_CAP", 8)
+        argv = ["verify", "--all", "--n-max", "9", "--format", "json"]
+        records = json.loads((GOLDEN_DIR / "audit.json").read_text(encoding="utf-8"))
+        (golden,) = [r for r in records["commands"] if r["argv"] == argv]
+        code, out, _ = run(capsys, *argv, "--cap", "9")
+        assert code == 1
+        assert out == golden["stdout"]
 
     def test_unknown_formula(self, capsys):
         code, _, err = run(capsys, "verify", "--formula", "no-such")

@@ -66,6 +66,16 @@ class TestFrozenExamples:
     def test_block_family_histogram(self):
         assert generate_refined("123,132", 4) == [4, 2, 2, 0, 0]
 
+    def test_long_rows_do_not_wrap(self):
+        # Values and fixed-point counts past 127, where int8 rows would
+        # wrap without a warning.
+        assert generate_refined("132,213,321", 130, cap=130) == [129] + [0] * 129 + [1]
+        expected = sorted(
+            Permutation((j,) + tuple(range(1, j)) + tuple(range(j + 1, 131)))
+            for j in range(1, 131)
+        )
+        assert generate("132,231,321", 130, cap=130) == expected
+
 
 class TestAgainstOracle:
     @pytest.mark.parametrize("patterns", [f for f in FAMILIES if f != DEFICIENT])
