@@ -24,7 +24,7 @@ from .formulas import (
     DISCREPANT,
     RECURRENCES,
     VERIFIED,
-    Undefined,
+    cell_text,
     evaluate,
     get_formula,
     recurrence_check,
@@ -143,11 +143,10 @@ def _compare_cells(ps: PatternSet, n_max: int, claim, cap: int | None) -> _Tally
     for n in range(n_max + 1):
         row = refined_count(n, ps, cap=cap)
         for k in range(n + 1):
-            v = claim(n, k)
-            if v is Undefined.OUT_OF_DOMAIN:
+            claimed = cell_text(claim(n, k))
+            if claimed is None:
                 tally.skipped += 1
                 continue
-            claimed = "non-integral" if v is Undefined.NON_INTEGRAL else str(v)
             tally.compare(n, k, claimed, str(row[k]))
     return tally
 

@@ -18,12 +18,7 @@ from typing import Sequence
 from . import audit as audit_mod
 from . import generators
 from .equivalence import divergence_witness, super_wilf_classes, symmetry_classes
-from .formulas import (
-    Undefined,
-    evaluate,
-    formula_for_patterns,
-    formula_ids,
-)
+from .formulas import cell_text, evaluate, formula_for_patterns, formula_ids
 from .genfun import gf_for_k, poly_text, series_coefficients
 from .oracle import CapExceeded, check_size, enumerate_avoiders, refined_count
 from .perms import ALL_PATTERNS, PatternSet
@@ -125,14 +120,6 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _cell_text(value) -> str | None:
-    if value is Undefined.OUT_OF_DOMAIN:
-        return None
-    if value is Undefined.NON_INTEGRAL:
-        return "non-integral"
-    return str(value)
-
-
 def _rows(ps: PatternSet, n_max: int, method: str, cap: int | None) -> list[list[str | None]]:
     """Rows n = 0..n_max of the refined table by one route, as cell
     texts (None out of domain).  The route is resolved, and an unknown
@@ -153,7 +140,7 @@ def _rows(ps: PatternSet, n_max: int, method: str, cap: int | None) -> list[list
     else:
         cap = _oracle_cap(cap, n_max)
         rows = (refined_count(n, ps, cap=cap) for n in sizes)
-    return [[_cell_text(v) for v in row] for row in rows]
+    return [[cell_text(v) for v in row] for row in rows]
 
 
 def _cmd_table(args) -> int:
@@ -353,9 +340,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except generators.UnsupportedFamily as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

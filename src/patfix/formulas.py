@@ -31,6 +31,7 @@ __all__ = [
     "RecurrenceReport",
     "Undefined",
     "VERIFIED",
+    "cell_text",
     "evaluate",
     "fibonacci",
     "formula_for_patterns",
@@ -53,6 +54,13 @@ class Undefined(Enum):
 
 
 EvalValue = Union[int, Undefined]
+
+
+def cell_text(value: EvalValue) -> str | None:
+    """A value as a table cell: None out of domain, else its text."""
+    if value is Undefined.OUT_OF_DOMAIN:
+        return None
+    return "non-integral" if value is Undefined.NON_INTEGRAL else str(value)
 
 
 @lru_cache(maxsize=None)
@@ -89,22 +97,20 @@ def _as_int(value: Union[int, Fraction]) -> EvalValue:
     return value
 
 
+def _finite(*rows: tuple[int, ...]) -> Callable[[int, int], int]:
+    """A finite table read as ``rows[k][n]``, and 0 past its entries."""
+
+    def _eval(n: int, k: int) -> int:
+        return rows[k][n] if k < len(rows) and n < len(rows[k]) else 0
+
+    return _eval
+
+
 # ---------------------------------------------------------------------------
 # pairs of patterns
 # ---------------------------------------------------------------------------
 
-_ROWS_123_321 = {
-    0: (1, 0, 1, 2, 4),
-    1: (0, 1, 0, 2),
-    2: (0, 0, 1),
-}
-
-
-def _eval_123_321(n: int, k: int):
-    row = _ROWS_123_321.get(k)
-    if row is None:
-        return 0
-    return row[n] if n < len(row) else 0
+_eval_123_321 = _finite((1, 0, 1, 2, 4), (0, 1, 0, 2), (0, 0, 1))
 
 
 def _eval_123_132(n: int, k: int):
@@ -229,23 +235,10 @@ def _eval_231_321(n: int, k: int):
 # ---------------------------------------------------------------------------
 
 # Finite tables for the {123, alpha, 321} families; everything avoiding
-# both monotone patterns dies out at size 5.
-_ROWS_123_A_321 = {
-    "132/213": {0: (1, 0, 1, 2, 1), 1: (0, 1, 0, 1), 2: (0, 0, 1)},
-    "231/312": {0: (1, 0, 1, 1, 1), 1: (0, 1, 0, 2), 2: (0, 0, 1)},
-}
-
-
-def _make_eval_123_a_321(group: str) -> Callable[[int, int], int]:
-    rows = _ROWS_123_A_321[group]
-
-    def _eval(n: int, k: int) -> int:
-        row = rows.get(k)
-        if row is None:
-            return 0
-        return row[n] if n < len(row) else 0
-
-    return _eval
+# both monotone patterns dies out at size 5.  alpha = 132 and 213 share
+# a table, as do alpha = 231 and 312.
+_eval3_123_132_321 = _finite((1, 0, 1, 2, 1), (0, 1, 0, 1), (0, 0, 1))
+_eval3_123_231_321 = _finite((1, 0, 1, 1, 1), (0, 1, 0, 2), (0, 0, 1))
 
 
 def _eval3_123_132_213(n: int, k: int):
@@ -343,10 +336,10 @@ def _registry() -> dict[str, Formula]:
         ("thm-213-231", "213,231", 3, _eval_132_231),
         ("thm-231-312", "231,312", 1, _eval_231_312),
         ("thm-231-321", "231,321", 0, _eval_231_321),
-        ("thm3-123-132-321", "123,132,321", 0, _make_eval_123_a_321("132/213")),
-        ("thm3-123-213-321", "123,213,321", 0, _make_eval_123_a_321("132/213")),
-        ("thm3-123-231-321", "123,231,321", 0, _make_eval_123_a_321("231/312")),
-        ("thm3-123-312-321", "123,312,321", 0, _make_eval_123_a_321("231/312")),
+        ("thm3-123-132-321", "123,132,321", 0, _eval3_123_132_321),
+        ("thm3-123-213-321", "123,213,321", 0, _eval3_123_132_321),
+        ("thm3-123-231-321", "123,231,321", 0, _eval3_123_231_321),
+        ("thm3-123-312-321", "123,312,321", 0, _eval3_123_231_321),
         ("thm3-123-132-213", "123,132,213", 3, _eval3_123_132_213),
         ("thm3-123-132-231", "123,132,231", 3, _eval3_123_132_231),
         ("thm3-123-231-312", "123,231,312", 3, _eval3_123_231_312),

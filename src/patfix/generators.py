@@ -15,8 +15,8 @@ v - 1 in its row.  Docstrings give the constructions in 1-based values,
 as printed.  A recursive step writes each size's rows in blocks: a
 constant head or tail is broadcast across a block, and a smaller size's
 rows are copied in, raised by a constant where the step shifts values.
-The one-parameter and wedge families build their few members as tuples,
-converted to rows once.  Every family's rows are then sorted and
+The one-parameter and wedge families write one row per parameter value
+through the same block writer.  Every family's rows are then sorted and
 deduplicated in one place, and the fixed-point histogram is one count
 over the rows.
 
@@ -51,8 +51,6 @@ __all__ = [
 
 GENERATOR_CAP = 14
 
-OnelineTuple = tuple[int, ...]
-
 # Row entries; int8 would wrap for members longer than 128, which an
 # explicit cap allows.
 _ROW = np.int16
@@ -69,12 +67,12 @@ class UnsupportedFamily(ValueError):
         )
 
 
-def _desc(hi: int, lo: int) -> OnelineTuple:
+def _desc(hi: int, lo: int) -> tuple[int, ...]:
     """Values hi, hi-1, ..., lo (empty when hi < lo)."""
     return tuple(range(hi, lo - 1, -1))
 
 
-def _asc(lo: int, hi: int) -> OnelineTuple:
+def _asc(lo: int, hi: int) -> tuple[int, ...]:
     """Values lo, lo+1, ..., hi (empty when lo > hi)."""
     return tuple(range(lo, hi + 1))
 
@@ -83,19 +81,27 @@ def _stack(n: int, blocks) -> np.ndarray:
     """Rows of size n, block after block.  A block is a sequence of
     pieces placed left to right: an array of rows gives each of the
     block's rows its own entries, and a tuple of values gives every row
-    the same ones."""
-    blocks = [[np.asarray(piece) for piece in pieces] for pieces in blocks]
-    counts = [next(len(p) for p in pieces if p.ndim == 2) for pieces in blocks]
-    out = np.empty((sum(counts), n), dtype=_ROW)
+    the same ones.  A block of tuples alone is one row; those rows are
+    written at once, after the others."""
+    shared, fixed = [], []
+    for pieces in blocks:
+        if np.ndarray in map(type, pieces):
+            shared.append(pieces)
+        else:
+            fixed.append(sum(pieces, ()))
+    counts = [next(len(p) for p in pieces if isinstance(p, np.ndarray)) for pieces in shared]
+    out = np.empty((sum(counts) + len(fixed), n), dtype=_ROW)
     top = 0
-    for pieces, count in zip(blocks, counts):
+    for pieces, count in zip(shared, counts):
         rows = out[top:top + count]
         left = 0
         for piece in pieces:
-            width = piece.shape[-1]
+            width = piece.shape[1] if isinstance(piece, np.ndarray) else len(piece)
             rows[:, left:left + width] = piece
             left += width
         top += count
+    if fixed:
+        out[top:] = fixed
     return out
 
 
@@ -127,19 +133,18 @@ def _step_213_132(n: int, below: list[np.ndarray]) -> np.ndarray:
     return _stack(n, ((_asc(t, n - 1), below[t]) for t in range(n)))
 
 
-def _gen_123_231(n: int) -> set[OnelineTuple]:
+def _gen_123_231(n: int) -> np.ndarray:
     """Either the maximum sits at position i >= 2 inside a double
     descent, or the permutation starts at the maximum and consists of
     three descending runs parametrized by (x, y)."""
-    if n == 0:
-        return {()}
-    out: set[OnelineTuple] = {_desc(n, 1)}
-    for i in range(2, n + 1):
-        out.add(_desc(i - 1, 1) + (n,) + _desc(n - 1, i))
-    for x in range(1, n - 1):
-        for y in range(1, n - x):
-            out.add(_desc(n, n - x + 1) + _desc(y, 1) + _desc(n - x, y + 1))
-    return out
+    blocks = [(_desc(n - 1, 0),)]
+    blocks += [(_desc(i - 2, 0), (n - 1,), _desc(n - 2, i - 1)) for i in range(2, n + 1)]
+    blocks += [
+        (_desc(n - 1, n - x), _desc(y - 1, 0), _desc(n - x - 1, y))
+        for x in range(1, n - 1)
+        for y in range(1, n - x)
+    ]
+    return _stack(n, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -194,54 +199,39 @@ def _step_231_312_321(n: int, below: list[np.ndarray]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _gen_123_132_231(n: int) -> set[OnelineTuple]:
+def _gen_123_132_231(n: int) -> np.ndarray:
     """j top values descending, the rest descending, then n-j last."""
-    if n == 0:
-        return {()}
-    return {
-        _desc(n, n - j + 1) + _desc(n - j - 1, 1) + (n - j,)
-        for j in range(n)
-    }
+    return _stack(n, ((_desc(n - 1, n - j), _desc(n - j - 2, 0), (n - j - 1,)) for j in range(n)))
 
 
-def _gen_123_231_312(n: int) -> set[OnelineTuple]:
+def _gen_123_231_312(n: int) -> np.ndarray:
     """j, j-1, ..., 1 followed by n, n-1, ..., j+1."""
-    if n == 0:
-        return {()}
-    return {_desc(j, 1) + _desc(n, j + 1) for j in range(1, n + 1)}
+    return _stack(n, ((_desc(j - 1, 0), _desc(n - 1, j)) for j in range(1, n + 1)))
 
 
-def _gen_132_213_231(n: int) -> set[OnelineTuple]:
+def _gen_132_213_231(n: int) -> np.ndarray:
     """j top values descending, then 1, 2, ..., n-j ascending.
 
     The printed parameter range is 1..n, which repeats the full descent
     and never produces the identity; kept verbatim, flagged by the
     audit.
     """
-    if n == 0:
-        return {()}
-    return {_desc(n, n - j + 1) + _asc(1, n - j) for j in range(1, n + 1)}
+    return _stack(n, ((_desc(n - 1, n - j), _asc(0, n - j - 1)) for j in range(1, n + 1)))
 
 
-def _gen_132_213_321(n: int) -> set[OnelineTuple]:
+def _gen_132_213_321(n: int) -> np.ndarray:
     """Cyclic rotations j, j+1, ..., n, 1, 2, ..., j-1."""
-    if n == 0:
-        return {()}
-    return {_asc(j, n) + _asc(1, j - 1) for j in range(1, n + 1)}
+    return _stack(n, ((_asc(j - 1, n - 1), _asc(0, j - 2)) for j in range(1, n + 1)))
 
 
-def _gen_132_231_312(n: int) -> set[OnelineTuple]:
+def _gen_132_231_312(n: int) -> np.ndarray:
     """j, j-1, ..., 1 followed by j+1, j+2, ..., n."""
-    if n == 0:
-        return {()}
-    return {_desc(j, 1) + _asc(j + 1, n) for j in range(1, n + 1)}
+    return _stack(n, ((_desc(j - 1, 0), _asc(j, n - 1)) for j in range(1, n + 1)))
 
 
-def _gen_132_231_321(n: int) -> set[OnelineTuple]:
+def _gen_132_231_321(n: int) -> np.ndarray:
     """j first, then 1..j-1 ascending, then j+1..n ascending."""
-    if n == 0:
-        return {()}
-    return {(j,) + _asc(1, j - 1) + _asc(j + 1, n) for j in range(1, n + 1)}
+    return _stack(n, (((j - 1,), _asc(0, j - 2), _asc(j, n - 1)) for j in range(1, n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +246,6 @@ class StructuralFamily:
     build: Callable[[int], np.ndarray]
 
 
-def _members(n: int, gen: Callable[[int], set[OnelineTuple]]) -> np.ndarray:
-    """The members that ``gen`` builds as tuples, as 0-based rows."""
-    members = gen(n)
-    return np.array(list(members), dtype=_ROW).reshape(len(members), n) - 1
-
-
 _FAMILIES: dict[PatternSet, StructuralFamily] = {}
 
 
@@ -272,17 +256,17 @@ def _register(patterns: str, kind: str, build) -> None:
 
 _register("123,132", "block-desc", partial(_grow, step=_step_123_132))
 _register("213,132", "block-asc", partial(_grow, step=_step_213_132))
-_register("123,231", "wedge", partial(_members, gen=_gen_123_231))
+_register("123,231", "wedge", _gen_123_231)
 _register("132,231", "max-first-recursive", partial(_grow, step=_step_132_231))
 _register("132,321", "max-last-recursive", partial(_grow, step=_step_132_321))
 _register("231,312", "tail-desc-recursive", partial(_grow, step=_step_231_312))
 _register("231,321", "head-max-recursive", partial(_grow, step=_step_231_321))
-_register("123,132,231", "one-param", partial(_members, gen=_gen_123_132_231))
-_register("123,231,312", "one-param", partial(_members, gen=_gen_123_231_312))
-_register("132,213,231", "one-param", partial(_members, gen=_gen_132_213_231))
-_register("132,213,321", "one-param", partial(_members, gen=_gen_132_213_321))
-_register("132,231,312", "one-param", partial(_members, gen=_gen_132_231_312))
-_register("132,231,321", "one-param", partial(_members, gen=_gen_132_231_321))
+_register("123,132,231", "one-param", _gen_123_132_231)
+_register("123,231,312", "one-param", _gen_123_231_312)
+_register("132,213,231", "one-param", _gen_132_213_231)
+_register("132,213,321", "one-param", _gen_132_213_321)
+_register("132,231,312", "one-param", _gen_132_231_312)
+_register("132,231,321", "one-param", _gen_132_231_321)
 _register("231,312,321", "prefix-12-recursive", partial(_grow, step=_step_231_312_321))
 
 
@@ -309,8 +293,6 @@ def check_size(n: int, cap: int | None = None) -> int:
 
 def _sorted_distinct(rows: np.ndarray) -> np.ndarray:
     """``rows`` in lexicographic order, each once."""
-    if rows.shape[1] == 0:  # no sort keys: every row is the empty member
-        return rows[:1]
     rows = rows[np.lexsort(rows.T[::-1])]
     keep = np.ones(len(rows), dtype=bool)
     keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
@@ -319,12 +301,15 @@ def _sorted_distinct(rows: np.ndarray) -> np.ndarray:
 
 def generate_rows(patterns, n: int, *, cap: int | None = None) -> np.ndarray:
     """The members of size n as 0-based rows, distinct and in
-    lexicographic order, like the oracle's avoider rows."""
+    lexicographic order, like the oracle's avoider rows.  Size 0 is the
+    empty member for every family."""
     ps = PatternSet(patterns)
     fam = _FAMILIES.get(ps)
     if fam is None:
         raise UnsupportedFamily(ps)
     check_size(n, cap)
+    if n == 0:
+        return np.zeros((1, 0), dtype=_ROW)
     return _sorted_distinct(fam.build(n))
 
 

@@ -301,6 +301,23 @@ class TestFailFast:
         assert code == 3
         assert "structural generation cap of 14" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["table", "--method", "generator"], "no structural generator for {123}"),
+        (["sequence", "--method", "generator", "--k", "0"], "no structural generator for {123}"),
+        (["table", "--method", "formula"], "no closed form is registered for {123}"),
+    ])
+    def test_unsupported_route_refused_before_the_cap_check(
+        self, capsys, monkeypatch, sweeps, argv, message
+    ):
+        def build(*args, **kwargs):
+            raise AssertionError("generator ran for an unsupported set")
+
+        monkeypatch.setattr(generators, "generate_refined", build)
+        code, out, err = run(capsys, *argv, "--patterns", "123", "--n-max", "99")
+        assert code == 2
+        assert message in err and "cap" not in err and not out
+        assert not sweeps
+
     def test_bad_cap_variable_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv(oracle.CAP_ENV_VAR, "junk")
         code, _, err = run(capsys, "table", "--patterns", "123", "--n-max", "3")
