@@ -90,6 +90,10 @@ def jacobsthal(n: int) -> int:
 
 
 def _as_int(value: Union[int, Fraction]) -> EvalValue:
+    # Most cells are plain ints, and an exact type test is far cheaper
+    # than isinstance against Fraction, whose metaclass is ABCMeta.
+    if type(value) is int:
+        return value
     if isinstance(value, Fraction):
         if value.denominator != 1:
             return Undefined.NON_INTEGRAL
@@ -226,8 +230,21 @@ def _eval_231_312(n: int, k: int):
     return Fraction(binoms, 2**-e)
 
 
+#: k -> the coefficients of gf_for_k(k) expanded so far, for the life of
+#: the process.  An entry is only ever replaced whole by a complete
+#: tuple, so a reader in any thread sees an old or a new column and
+#: needs no lock; two threads that regrow one column at once each expand
+#: it, and the later write wins.
+_SERIES_COLUMNS: dict[int, tuple[int, ...]] = {}
+
+
 def _eval_231_321(n: int, k: int):
-    return series_coefficients(gf_for_k(k), n)[n]
+    col = _SERIES_COLUMNS.get(k, ())
+    if n >= len(col):
+        # Regrow geometrically: O(log n) expansions per column.
+        col = tuple(series_coefficients(gf_for_k(k), max(n, 2 * len(col))))
+        _SERIES_COLUMNS[k] = col
+    return col[n]
 
 
 # ---------------------------------------------------------------------------

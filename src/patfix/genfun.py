@@ -42,12 +42,32 @@ def poly_mul(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
 
 
 def poly_pow(p: Sequence[int], e: int) -> tuple[int, ...]:
+    """p^e by J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).
+
+    With p = x^s q and q_0 != 0, the coefficients of q^e are a_0 = q_0^e
+    and a_j = sum_{i=1..min(j,d)} ((e+1) i - j) q_i a_{j-i} / (j q_0),
+    where d = deg q.  The division is exact, so it runs in integers, and
+    the cost is O(e d^2) rather than the O(e^2 d) of repeated products.
+    """
     if e < 0:
         raise ValueError("exponent must be nonnegative")
-    out: tuple[int, ...] = (1,)
-    for _ in range(e):
-        out = poly_mul(out, p)
-    return out
+    if e == 0:
+        return (1,)
+    q = _trim(p)
+    if not q:
+        return ()
+    s = 0
+    while q[s] == 0:
+        s += 1
+    q = q[s:]
+    d, q0 = len(q) - 1, q[0]
+    a = [q0**e]
+    for j in range(1, e * d + 1):
+        acc = 0
+        for i in range(1, min(j, d) + 1):
+            acc += ((e + 1) * i - j) * q[i] * a[j - i]
+        a.append(acc // (j * q0))
+    return (0,) * (s * e) + tuple(a)
 
 
 def poly_text(coeffs: Sequence[int]) -> str:

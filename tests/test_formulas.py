@@ -1,7 +1,12 @@
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from patfix import formulas
+from patfix.cli import main
 from patfix.formulas import (
     RECURRENCES,
     Undefined,
@@ -15,6 +20,7 @@ from patfix.formulas import (
     recurrence_check,
     sum_identity,
 )
+from patfix.genfun import gf_for_k, series_coefficients
 from patfix.oracle import refined_count
 from patfix.perms import PatternSet
 
@@ -155,6 +161,95 @@ class TestRecurrences:
     def test_unknown_recurrence(self):
         with pytest.raises(ValueError):
             recurrence_check("thm-123-321", 5)
+
+
+SERIES_N = 60
+SERIES_CELLS = [(n, k) for n in range(SERIES_N + 1) for k in range(n + 1)]
+
+
+@pytest.fixture(scope="module")
+def series_reference():
+    """Every {231,321} cell to n = 60, one series expansion per cell."""
+    return {(n, k): series_coefficients(gf_for_k(k), n)[n] for n, k in SERIES_CELLS}
+
+
+@pytest.fixture
+def cold_columns(monkeypatch):
+    """An empty {231,321} column memo for the test's duration."""
+    columns = {}
+    monkeypatch.setattr(formulas, "_SERIES_COLUMNS", columns)
+    return columns
+
+
+class TestSeriesColumns:
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_cell_order(self, cold_columns, series_reference, order):
+        cells = list(SERIES_CELLS)
+        if order == "descending":
+            cells.reverse()
+        elif order == "shuffled":
+            random.Random(7).shuffle(cells)
+        for n, k in cells:
+            assert evaluate("thm-231-321", n, k) == series_reference[n, k], (n, k)
+        assert sorted(cold_columns) == list(range(SERIES_N + 1))
+
+    def test_threads(self, cold_columns, series_reference):
+        # More threads than cores, switching often, so that regrowths of
+        # one column race; every stored column must still be a complete
+        # prefix of its series.
+        start = threading.Barrier(8, timeout=60)
+        wrong = []
+
+        def worker(seed):
+            cells = list(SERIES_CELLS)
+            random.Random(seed).shuffle(cells)
+            start.wait()
+            for n, k in cells:
+                if evaluate("thm-231-321", n, k) != series_reference[n, k]:
+                    wrong.append((seed, n, k))
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        for k, col in cold_columns.items():
+            assert list(col) == series_coefficients(gf_for_k(k), len(col) - 1), k
+
+    def test_about_one_expansion_per_column(self, cold_columns, monkeypatch, capsys):
+        calls = []
+
+        def counting(gf, m):
+            calls.append(m)
+            return series_coefficients(gf, m)
+
+        monkeypatch.setattr(formulas, "series_coefficients", counting)
+        argv = ["table", "--patterns", "231,321", "--method", "formula", "--n-max", "40"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out
+        assert len(calls) <= 41 * 7
+
+    def test_rows_satisfy_sum_identity_and_recurrence(self, cold_columns):
+        rec = RECURRENCES["thm-231-321"]
+        rows = [
+            [evaluate("thm-231-321", n, k) for k in range(n + 1)] for n in range(81)
+        ]
+
+        def s(n, k):
+            return rows[n][k] if 0 <= k <= n else 0
+
+        for n in range(1, 81):
+            assert sum(rows[n]) == sum_identity("231,321", n) == 2 ** (n - 1)
+        for n in range(rec.min_n, 81):
+            for k in range(n + 1):
+                assert s(n, k) == sum(c * s(n - dn, k - dk) for c, dn, dk in rec.terms)
 
 
 class TestExactness:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from patfix.genfun import (
@@ -19,6 +21,30 @@ class TestPolynomials:
         assert poly_mul((1, 1), (1, -1)) == (1, 0, -1)
         assert poly_pow((1, -1), 0) == (1,)
         assert poly_pow((1, -1, -1), 2) == (1, -2, -1, 2, 1)
+
+    def test_pow_matches_repeated_mul(self):
+        def by_mul(p, e):
+            out = (1,)
+            for _ in range(e):
+                out = poly_mul(out, p)
+            return out
+
+        fixed = [
+            ((), 0), ((), 3), ((0,), 2), ((0, 0), 1), ((5,), 4), ((1, 0, 0), 3),
+            ((0, 0, 1), 4), ((0, 2, -1), 3), ((-1, 1), 5), ((-3, 0, 2), 4),
+            ((1, -1, -1), 0),
+        ]
+        rng = random.Random(20021)
+        drawn = [
+            (tuple(rng.randint(-4, 4) for _ in range(rng.randint(0, 6))), rng.randint(0, 9))
+            for _ in range(400)
+        ]
+        for p, e in fixed + drawn:
+            assert poly_pow(p, e) == by_mul(p, e), (p, e)
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            poly_pow((1, 1), -1)
 
     def test_text(self):
         assert poly_text((1, -1, -1)) == "1 - x - x^2"
@@ -43,8 +69,9 @@ class TestRationalGF:
         assert g1.denominator == (1, -2, -1, 2, 1)
 
     def test_gf_for_k_product_structure(self):
-        # Each level multiplies by x(1-x) upstairs and (1-x-x^2) downstairs.
-        for k in range(1, 9):
+        # Each level multiplies by x(1-x) upstairs and (1-x-x^2) downstairs;
+        # the step-by-step products check poly_pow's closed powers.
+        for k in range(1, 201):
             prev, cur = gf_for_k(k - 1), gf_for_k(k)
             assert cur.numerator == poly_mul(prev.numerator, (0, 1, -1))
             assert cur.denominator == poly_mul(prev.denominator, (1, -1, -1))
