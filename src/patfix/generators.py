@@ -17,13 +17,15 @@ constant head or tail is broadcast across a block, and a smaller size's
 rows are copied in, raised by a constant where the step shifts values.
 The one-parameter and wedge families write one row per parameter value
 through the same block writer.  Every family's rows are then sorted and
-deduplicated in one place, and the fixed-point histogram is one count
-over the rows.
+deduplicated in one place, by one sort of a packed integer key per row,
+and the fixed-point histogram is one count over the rows.
 
 Generators scale past the oracle: the default cap is 14, since every
-class here grows at most like 2^n.  A recursive family builds every
-size up to n within one call, each from the sizes below it, so the
-module keeps no state between calls.
+class here grows at most like 2^n.  A recursive family builds each size
+from the sizes below it.  The module keeps one memo: the sizes of the
+recursive family grown last, so that a table walking one family through
+n = 0, 1, 2, ... builds each size once.  Asking for another family
+replaces it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .oracle import CapExceeded, fixed_points
-from .perms import PatternSet, Permutation
+from .perms import PatternSet, Permutation, _from_rows
 
 __all__ = [
     "GENERATOR_CAP",
@@ -105,13 +107,28 @@ def _stack(n: int, blocks) -> np.ndarray:
     return out
 
 
+# The recursive family grown last: its step and its sizes 0..m, as a
+# tuple of read-only arrays.  The pair is only ever replaced whole, so a
+# reader in any thread sees an old or a new pair and needs no lock.
+_grown: tuple[Callable | None, tuple[np.ndarray, ...]] = (None, ())
+
+
 def _grow(n: int, step: Callable[[int, list[np.ndarray]], np.ndarray]) -> np.ndarray:
-    """Size n of a recursive family.  Sizes 0..n are built in turn within
-    this call, size m as ``step(m, below)`` from the list ``below`` of
-    sizes 0..m-1; nothing outlives the call."""
-    below = [np.zeros((1, 0), dtype=_ROW)]
-    for m in range(1, n + 1):
+    """Size n of a recursive family, size m being ``step(m, below)`` for
+    the list ``below`` of sizes 0..m-1.  The sizes of the family grown
+    last are kept, so a call for the same step only builds the sizes
+    past them; walking a family through n = 0, 1, 2, ... builds each
+    size once."""
+    global _grown
+    last, sizes = _grown
+    below = list(sizes) if last is step else [np.zeros((1, 0), dtype=_ROW)]
+    if n < len(below):
+        return below[n]
+    for m in range(len(below), n + 1):
         below.append(step(m, below))
+    for rows in below:
+        rows.flags.writeable = False
+    _grown = (step, tuple(below))
     return below[n]
 
 
@@ -292,11 +309,27 @@ def check_size(n: int, cap: int | None = None) -> int:
 
 
 def _sorted_distinct(rows: np.ndarray) -> np.ndarray:
-    """``rows`` in lexicographic order, each once."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[keep]
+    """``rows`` in lexicographic order, each once.  Each row is packed
+    into as few non-negative int64 words as hold it, first entry in the
+    highest bits, so that comparing the words compares the rows: one
+    word for every n <= 15."""
+    n = rows.shape[1]
+    bits = max(1, (n - 1).bit_length())
+    per_word = 63 // bits
+    words = []
+    for start in range(0, n, per_word):
+        word = np.zeros(len(rows), dtype=np.int64)
+        for j in range(start, min(n, start + per_word)):
+            word <<= bits
+            word |= rows[:, j]
+        words.append(word)
+    order = np.lexsort(words[::-1])
+    keep = np.zeros(len(order), dtype=bool)
+    keep[:1] = True
+    for word in words:
+        word = word[order]
+        keep[1:] |= word[1:] != word[:-1]
+    return rows[order[keep]]
 
 
 def generate_rows(patterns, n: int, *, cap: int | None = None) -> np.ndarray:
@@ -315,7 +348,7 @@ def generate_rows(patterns, n: int, *, cap: int | None = None) -> np.ndarray:
 
 def generate(patterns, n: int, *, cap: int | None = None) -> list[Permutation]:
     """Build the avoidance class directly; deduplicated, lexicographic."""
-    return [Permutation(p) for p in (generate_rows(patterns, n, cap=cap) + 1).tolist()]
+    return list(_from_rows(generate_rows(patterns, n, cap=cap)))
 
 
 def generate_refined(patterns, n: int, *, cap: int | None = None) -> list[int]:

@@ -39,7 +39,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .perms import PatternSet, Permutation
+from .perms import PatternSet, Permutation, _from_rows
 
 __all__ = [
     "CAP_ENV_VAR",
@@ -275,8 +275,7 @@ def avoider_rows(n: int, patterns, *, cap: int | None = None) -> np.ndarray:
 def enumerate_avoiders(n: int, patterns, *, cap: int | None = None) -> Iterator[Permutation]:
     """Yield the avoiders of ``patterns`` in S_n, each exactly once, in
     lexicographic order."""
-    for entries in (avoider_rows(n, patterns, cap=cap) + 1).tolist():
-        yield Permutation(entries)
+    yield from _from_rows(avoider_rows(n, patterns, cap=cap))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,10 @@ pure function on immutable values and safe for concurrent use.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from functools import partial
+from typing import Iterable, Iterator
+
+import numpy as np
 
 __all__ = [
     "ALL_PATTERNS",
@@ -108,6 +111,16 @@ class Permutation(tuple):
 
     def avoids_all(self, patterns: Iterable[Iterable[int]]) -> bool:
         return not any(self.contains(q) for q in patterns)
+
+
+def _from_rows(rows: np.ndarray) -> Iterator[Permutation]:
+    """The rows of an integer array as permutations, a row holding a
+    member in 0-based values (entry v is v - 1).  Every row is checked
+    here at once, sorted against 0..n-1, so no member is checked again
+    on its own."""
+    if not (np.sort(rows, axis=1) == np.arange(rows.shape[1])).all():
+        raise ValueError(f"not every row is a permutation of 0..{rows.shape[1] - 1}")
+    return map(partial(tuple.__new__, Permutation), (rows + 1).tolist())
 
 
 def standardize(values: Iterable[int]) -> Permutation:

@@ -48,6 +48,15 @@ def chunk_stats(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mask, fixed
 
 
+def lexsort_distinct(rows: np.ndarray) -> np.ndarray:
+    """``rows`` in lexicographic order, each once: one ``np.lexsort``
+    over the columns, then a row-by-row comparison with the row before."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
 @pytest.fixture
 def sweeps(monkeypatch):
     """Cold oracle caches, and a Counter of the sizes n the oracle builds

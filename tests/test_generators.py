@@ -1,7 +1,13 @@
 import hashlib
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
+from conftest import lexsort_distinct
 
+from patfix import generators
 from patfix.formulas import evaluate, formula_ids, get_formula
 from patfix.generators import (
     GENERATOR_CAP,
@@ -9,6 +15,7 @@ from patfix.generators import (
     family_for,
     generate,
     generate_refined,
+    generate_rows,
     supported_families,
 )
 from patfix.oracle import CapExceeded, enumerate_avoiders, refined_count
@@ -127,6 +134,97 @@ class TestDeterminism:
         with ThreadPoolExecutor(max_workers=6) as pool:
             results = list(pool.map(lambda _: generate("231,312,321", 10), range(12)))
         assert all(r == expected for r in results)
+
+
+class TestNormaliser:
+    """The packed-key sort against one ``np.lexsort`` over the columns,
+    on each family's rows as built: unsorted, and repeated where a
+    printed family repeats a member."""
+
+    @staticmethod
+    def check(rows):
+        want = lexsort_distinct(rows)
+        shuffled = rows[np.random.default_rng(len(rows)).permutation(len(rows))]
+        for block in (rows, shuffled):
+            got = generators._sorted_distinct(block)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("patterns", FAMILIES)
+    def test_every_family_to_the_cap(self, patterns):
+        for n in range(1, GENERATOR_CAP + 1):
+            self.check(family_for(patterns).build(n))
+
+    @pytest.mark.parametrize("patterns", ["132,321", "132,231,321", "132,213,321"])
+    def test_rows_past_one_word(self, patterns):
+        # One word holds 15 entries of 4 bits; from n = 16 on a row takes
+        # two words and more, and from n = 17 on an entry takes 5 bits.
+        for n in (15, 16, 17, 31):
+            self.check(family_for(patterns).build(n))
+
+    def test_repeated_rows(self):
+        rows = family_for(DEFICIENT).build(9)
+        assert len(lexsort_distinct(rows)) < len(rows)
+        self.check(rows)
+
+    def test_no_rows(self):
+        for n in (1, 5, 17):
+            self.check(np.zeros((0, n), dtype=np.int16))
+
+
+class TestGrowMemo:
+    """A recursive family keeps the sizes it grew last, so that a table
+    walking n = 0, 1, 2, ... builds each size once."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self, monkeypatch):
+        monkeypatch.setattr(generators, "_grown", (None, ()))
+
+    @staticmethod
+    def fresh(monkeypatch, patterns, n):
+        monkeypatch.setattr(generators, "_grown", (None, ()))
+        rows = family_for(patterns).build(n)
+        monkeypatch.setattr(generators, "_grown", (None, ()))
+        return rows
+
+    def test_interleaved_families(self, monkeypatch):
+        asks = [("123,132", n) for n in range(GENERATOR_CAP + 1)]
+        asks += [("231,321", 5), ("123,132", 3), ("231,321", 12)]
+        expected = [self.fresh(monkeypatch, *ask) for ask in asks]
+        for (patterns, n), want in zip(asks, expected):
+            assert np.array_equal(family_for(patterns).build(n), want)
+
+    def test_threads_get_the_serial_results(self, monkeypatch):
+        asks = [(patterns, n) for patterns in FAMILIES for n in range(13)]
+        serial = {ask: self.fresh(monkeypatch, *ask) for ask in asks}
+
+        def run(seed):
+            # Three rounds, so that threads often grow one family at once.
+            order = asks * 3
+            random.Random(seed).shuffle(order)
+            return [(ask, family_for(ask[0]).build(ask[1])) for ask in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(run, seed) for seed in range(8)]
+                results = [f.result(timeout=300) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for result in results:
+            for ask, rows in result:
+                assert np.array_equal(rows, serial[ask])
+
+    def test_holds_the_last_family_only(self):
+        for patterns in ("231,321", "132,321"):
+            for n in range(11):
+                generate_refined(patterns, n)
+        step, sizes = generators._grown
+        assert step is generators._step_132_321
+        assert len(sizes) == 11
+        assert not any(rows.flags.writeable for rows in sizes)
+        assert generate_rows("132,321", 10).flags.writeable
 
 
 # sha256 over n = 0..14 of each member's compact() plus "\n", in generate

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from patfix.perms import (
     ALL_PATTERNS,
     PatternSet,
     Permutation,
+    _from_rows,
     apply_symmetry,
     standardize,
 )
@@ -32,6 +34,14 @@ class TestPermutation:
             Permutation((0, 1))
         with pytest.raises(ValueError):
             Permutation((2, 3))
+
+    def test_rows_checked_at_once(self):
+        rows = np.array([[0, 1, 2], [2, 0, 1]], dtype=np.int16)
+        assert list(_from_rows(rows)) == [Permutation((1, 2, 3)), Permutation((3, 1, 2))]
+        assert list(_from_rows(np.zeros((1, 0), dtype=np.int16))) == [Permutation(())]
+        for bad in ([[0, 1, 2], [1, 1, 2]], [[1, 2, 3]], [[0, 2, 3]]):
+            with pytest.raises(ValueError):
+                _from_rows(np.array(bad, dtype=np.int16))
 
     def test_parse_and_compact_round_trip(self):
         assert Permutation.parse("132") == (1, 3, 2)
