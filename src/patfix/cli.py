@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from typing import Sequence
@@ -30,6 +31,8 @@ EXIT_CAP = 3
 
 _METHODS_TABLE = ("oracle", "formula", "generator")
 _METHODS_SEQUENCE = ("oracle", "formula", "generator", "gf")
+# Options that count something; a negative value is a usage error.
+_COUNTS = ("n_max", "k", "n", "terms", "cap")
 
 
 class UsageError(Exception):
@@ -48,14 +51,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, patterns=True, cap=True, fmt="plain"):
+    def add_common(p, patterns=True, cap=True, formats=("plain", "json", "csv")):
+        """``formats`` are the ones the command prints; the first is the default."""
         if patterns:
             p.add_argument("--patterns", required=True,
                            help='comma-separated patterns, e.g. "123,132"')
         if cap:
             p.add_argument("--cap", type=int, default=None,
                            help="override the enumeration cap")
-        p.add_argument("--format", choices=("plain", "json", "csv"), default=fmt)
+        p.add_argument("--format", choices=formats, default=formats[0])
 
     p = sub.add_parser("table", help="refined counts for n = 0..n-max")
     add_common(p)
@@ -71,15 +75,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sequence)
 
     p = sub.add_parser("verify", help="audit closed forms against the oracle")
-    add_common(p, patterns=False, fmt="json")
+    add_common(p, patterns=False, formats=("json", "plain"))
     p.add_argument("--all", action="store_true", help="audit every registered item")
     p.add_argument("--formula", help="audit one formula id, e.g. thm-231-312")
     p.add_argument("--n-max", type=int, default=8)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("classes", help="symmetry or empirical equivalence classes")
-    add_common(p, patterns=False, fmt="json")
-    p.add_argument("--size", type=int, required=True, help="pattern set cardinality, 1..6")
+    add_common(p, patterns=False, formats=("json", "plain"))
+    p.add_argument("--size", type=int, choices=range(1, 7), required=True,
+                   help="pattern set cardinality, 1..6")
     p.add_argument("--mode", choices=("symmetry", "superwilf"), default="symmetry")
     p.add_argument("--n-max", type=int, default=None,
                    help="table depth for superwilf mode")
@@ -88,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gf", help="generating function and series for {231,321}")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--terms", type=int, required=True)
-    p.add_argument("--format", choices=("plain", "json"), default="plain")
+    add_common(p, patterns=False, cap=False, formats=("plain", "json"))
     p.set_defaults(func=_cmd_gf)
 
     p = sub.add_parser("avoiders", help="dump the avoiders of a pattern set")
@@ -116,8 +121,20 @@ def _oracle_cap(cap: int | None, n_max: int) -> int:
         raise UsageError(str(exc)) from exc
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+def _emit(fmt: str, payload, plain, csv=None) -> None:
+    """Print one result in the chosen format: ``payload`` as JSON, else
+    the lines of ``plain()`` or ``csv()``, so a command formats only the
+    lines it prints."""
+    if fmt == "json":
+        print(json.dumps(payload, indent=2))
+        return
+    for line in (csv if fmt == "csv" else plain)():
+        print(line)
+
+
+def _join(cells, missing: str) -> str:
+    """Cells as one comma-separated line, ``missing`` for None."""
+    return ",".join(missing if v is None else v for v in cells)
 
 
 def _rows(ps: PatternSet, n_max: int, method: str, cap: int | None) -> list[list[str | None]]:
@@ -145,35 +162,24 @@ def _rows(ps: PatternSet, n_max: int, method: str, cap: int | None) -> list[list
 
 def _cmd_table(args) -> int:
     ps = _parse_patterns(args.patterns)
-    if args.n_max < 0:
-        raise UsageError("--n-max must be nonnegative")
     rows = _rows(ps, args.n_max, args.method, args.cap)
-    if args.format == "json":
-        _emit_json({
-            "patterns": ps.canonical(),
-            "method": args.method,
-            "n_max": args.n_max,
-            "rows": [{"n": n, "counts": row} for n, row in enumerate(rows)],
-        })
-    elif args.format == "csv":
-        header = ["n"] + [f"k{k}" for k in range(args.n_max + 1)]
-        print(",".join(header))
+
+    def csv():
+        yield ",".join(["n"] + [f"k{k}" for k in range(args.n_max + 1)])
         for n, row in enumerate(rows):
-            cells = [("" if v is None else v) for v in row]
-            cells += [""] * (args.n_max - n)
-            print(",".join([str(n)] + cells))
-    else:
-        for n, row in enumerate(rows):
-            print(f"n={n}: " + ",".join("-" if v is None else v for v in row))
+            yield _join([str(n), *row, *[None] * (args.n_max - n)], "")
+
+    _emit(args.format, {
+        "patterns": ps.canonical(),
+        "method": args.method,
+        "n_max": args.n_max,
+        "rows": [{"n": n, "counts": row} for n, row in enumerate(rows)],
+    }, plain=lambda: (f"n={n}: " + _join(row, "-") for n, row in enumerate(rows)), csv=csv)
     return EXIT_OK
 
 
 def _cmd_sequence(args) -> int:
     ps = _parse_patterns(args.patterns)
-    if args.n_max < 0:
-        raise UsageError("--n-max must be nonnegative")
-    if args.k < 0:
-        raise UsageError("--k must be nonnegative")
     k = args.k
     if args.method == "gf":
         # A column is the natural unit of the series: one expansion per k.
@@ -187,21 +193,26 @@ def _cmd_sequence(args) -> int:
             row[k] if k < len(row) else (None if row[0] is None else "0")
             for row in _rows(ps, args.n_max, args.method, args.cap)
         ]
-    if args.format == "json":
-        _emit_json({
-            "patterns": ps.canonical(),
-            "k": k,
-            "method": args.method,
-            "n_max": args.n_max,
-            "values": values,
-        })
-    elif args.format == "csv":
-        print("n,value")
-        for n, v in enumerate(values):
-            print(f"{n},{'' if v is None else v}")
-    else:
-        print(",".join("-" if v is None else v for v in values))
+    _emit(args.format, {
+        "patterns": ps.canonical(),
+        "k": k,
+        "method": args.method,
+        "n_max": args.n_max,
+        "values": values,
+    }, plain=lambda: [_join(values, "-")],
+       csv=lambda: ["n,value"] + [_join([str(n), v], "") for n, v in enumerate(values)])
     return EXIT_OK
+
+
+def _report_line(r) -> str:
+    line = f"{r.status.upper():10s} {r.item_id} (cells={r.cells_checked}, skipped={r.cells_skipped})"
+    if r.counterexample is not None:
+        c = r.counterexample
+        line += (
+            f"  counterexample n={c.n} k={c.k}: "
+            f"claimed {c.formula_value}, oracle {c.oracle_value}"
+        )
+    return line
 
 
 def _cmd_verify(args) -> int:
@@ -217,111 +228,67 @@ def _cmd_verify(args) -> int:
         reports = audit_mod.audit_all(args.n_max, cap=cap)
     else:
         reports = [audit_mod.audit_formula(args.formula, args.n_max, cap=cap)]
-    if args.format == "json":
-        print(audit_mod.reports_to_json(reports))
-    else:
-        for r in reports:
-            line = f"{r.status.upper():10s} {r.item_id} (cells={r.cells_checked}, skipped={r.cells_skipped})"
-            if r.counterexample is not None:
-                c = r.counterexample
-                line += (
-                    f"  counterexample n={c.n} k={c.k}: "
-                    f"claimed {c.formula_value}, oracle {c.oracle_value}"
-                )
-            print(line)
+    # The payload is what audit.reports_to_json renders.
+    _emit(args.format, [r.to_json_dict() for r in reports],
+          plain=lambda: map(_report_line, reports))
     return EXIT_OK if all(r.verified for r in reports) else EXIT_DISCREPANT
 
 
 def _cmd_classes(args) -> int:
-    if not 1 <= args.size <= 6:
-        raise UsageError("--size must be between 1 and 6")
     if args.mode == "symmetry":
-        classes = symmetry_classes(args.size)
-        payload = [[m.canonical() for m in c.members] for c in classes]
-        if args.format == "json":
-            _emit_json({"mode": "symmetry", "size": args.size, "classes": payload})
-        else:
-            for members in payload:
-                print(" ; ".join(members))
+        members = [[m.canonical() for m in c.members] for c in symmetry_classes(args.size)]
+        _emit(args.format, {"mode": "symmetry", "size": args.size, "classes": members},
+              plain=lambda: (" ; ".join(m) for m in members))
         return EXIT_OK
     if args.n_max is None:
         raise UsageError("--mode superwilf requires --n-max")
     cap = _oracle_cap(args.cap, args.n_max)
-    import itertools
-
     candidates = [PatternSet(c) for c in itertools.combinations(ALL_PATTERNS, args.size)]
     classes = super_wilf_classes(candidates, args.n_max, cap=cap)
-    payload = [[m.canonical() for m in c.members] for c in classes]
+    members = [[m.canonical() for m in c.members] for c in classes]
     witnesses = []
-    for i, a in enumerate(classes):
-        for b in classes[i + 1:]:
-            w = divergence_witness(a.members[0], b.members[0], args.n_max, cap=cap)
-            if w is not None:
-                witnesses.append({
-                    "a": a.members[0].canonical(),
-                    "b": b.members[0].canonical(),
-                    "n": w[0],
-                    "k": w[1],
-                })
-    if args.format == "json":
-        _emit_json({
-            "mode": "superwilf",
-            "size": args.size,
-            "n_max": args.n_max,
-            "empirical": True,
-            "classes": payload,
-            "witnesses": witnesses,
-        })
-    else:
-        for members in payload:
-            print(" ; ".join(members))
-        for w in witnesses:
-            print(f"split {w['a']} | {w['b']} at n={w['n']} k={w['k']}")
+    for a, b in itertools.combinations([c.members[0] for c in classes], 2):
+        w = divergence_witness(a, b, args.n_max, cap=cap)
+        if w is not None:
+            witnesses.append({"a": a.canonical(), "b": b.canonical(), "n": w[0], "k": w[1]})
+    _emit(args.format, {
+        "mode": "superwilf",
+        "size": args.size,
+        "n_max": args.n_max,
+        "empirical": True,
+        "classes": members,
+        "witnesses": witnesses,
+    }, plain=lambda: [" ; ".join(m) for m in members] + [
+        f"split {w['a']} | {w['b']} at n={w['n']} k={w['k']}" for w in witnesses
+    ])
     return EXIT_OK
 
 
 def _cmd_gf(args) -> int:
-    if args.k < 0:
-        raise UsageError("--k must be nonnegative")
-    if args.terms < 0:
-        raise UsageError("--terms must be nonnegative")
     gf = gf_for_k(args.k)
+    numerator, denominator = poly_text(gf.numerator), poly_text(gf.denominator)
     series = [str(c) for c in series_coefficients(gf, args.terms)]
-    if args.format == "json":
-        _emit_json({
-            "k": args.k,
-            "terms": args.terms,
-            "numerator": poly_text(gf.numerator),
-            "denominator": poly_text(gf.denominator),
-            "series": series,
-        })
-    else:
-        print(f"numerator: {poly_text(gf.numerator)}")
-        print(f"denominator: {poly_text(gf.denominator)}")
-        print("series: " + ",".join(series))
+    _emit(args.format, {
+        "k": args.k,
+        "terms": args.terms,
+        "numerator": numerator,
+        "denominator": denominator,
+        "series": series,
+    }, plain=lambda: [f"numerator: {numerator}", f"denominator: {denominator}",
+                      "series: " + ",".join(series)])
     return EXIT_OK
 
 
 def _cmd_avoiders(args) -> int:
     ps = _parse_patterns(args.patterns)
-    if args.n < 0:
-        raise UsageError("--n must be nonnegative")
     cap = _oracle_cap(args.cap, args.n)
     perms = [p.compact() for p in enumerate_avoiders(args.n, ps, cap=cap)]
-    if args.format == "json":
-        _emit_json({
-            "patterns": ps.canonical(),
-            "n": args.n,
-            "count": str(len(perms)),
-            "avoiders": perms,
-        })
-    elif args.format == "csv":
-        print("permutation")
-        for p in perms:
-            print(p)
-    else:
-        for p in perms:
-            print(p)
+    _emit(args.format, {
+        "patterns": ps.canonical(),
+        "n": args.n,
+        "count": str(len(perms)),
+        "avoiders": perms,
+    }, plain=lambda: perms, csv=lambda: ["permutation"] + perms)
     return EXIT_OK
 
 
@@ -335,6 +302,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_OK
         return code if isinstance(code, int) else EXIT_USAGE
     try:
+        for dest in _COUNTS:
+            if (getattr(args, dest, None) or 0) < 0:
+                raise UsageError(f"--{dest.replace('_', '-')} must be nonnegative")
         return args.func(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,21 +38,12 @@ class OrbitClass:
 
 
 def orbit(patterns) -> OrbitClass:
-    """Closure of {patterns} under elementwise inverse and
-    reverse-complement, computed to a fixpoint."""
+    """Images of {patterns} under elementwise inverse and
+    reverse-complement.  The two are commuting involutions, so the orbit
+    is {T, I(T), RC(T), RC(I(T))}."""
     ps = PatternSet(patterns)
-    seen = {ps}
-    frontier = [ps]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for op in ("I", "RC"):
-                img = s.apply(op)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    members = tuple(sorted(seen))
+    inverse = ps.apply("I")
+    members = tuple(sorted({ps, inverse, ps.apply("RC"), inverse.apply("RC")}))
     return OrbitClass(members[0], members)
 
 

@@ -77,16 +77,20 @@ class CapExceeded(Exception):
 
 
 def resolve_cap(cap: int | None = None) -> int:
-    """Effective oracle cap: explicit value, else environment, else default."""
+    """Effective oracle cap: explicit value, else environment, else default.
+    An environment value that is not a nonnegative integer is refused."""
     if cap is not None:
         return cap
     env = os.environ.get(CAP_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from exc
-    return DEFAULT_CAP
+    if env is None:
+        return DEFAULT_CAP
+    try:
+        value = int(env)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"{CAP_ENV_VAR} must be a nonnegative integer, got {env!r}")
+    return value
 
 
 def check_size(n: int, cap: int | None = None) -> int:
@@ -150,7 +154,8 @@ class _Sweep:
     """The permutations of S_n that avoid some length-3 pattern, as
     lexicographically sorted 0-based rows with their per-row pattern
     masks, and their (pattern mask, fixed points) -> count histogram.
-    ``state`` is only kept until size n+1 has been built from it."""
+    ``state`` is only kept until size n+1 has been built from it, and is
+    None at the hard limit."""
 
     histogram: dict[tuple[int, int], int]
     rows: np.ndarray
@@ -175,7 +180,11 @@ def _run_sweep(n: int) -> _Sweep:
     total = sum(int(np.count_nonzero(mask != _FULL)) for mask in new)
     rows = np.empty((total, n), dtype=np.int8)
     masks = np.empty(len(rows), dtype=np.uint8)
-    state = _State(*(np.empty(len(rows), dtype=a.dtype) for a in prev.state))
+    # No size past the hard limit can be asked for, so its state is
+    # never built.
+    state = None if n == _HARD_LIMIT else _State(
+        *(np.empty(len(rows), dtype=a.dtype) for a in prev.state)
+    )
     counts = np.zeros(64 * 16, dtype=np.int64)
     end = 0
     for v in range(n):
@@ -194,6 +203,8 @@ def _run_sweep(n: int) -> _Sweep:
         mask = candidates.take(keep, out=masks[part])
         counts += np.bincount((mask.astype(np.uint16) << 4) | fixed_points(block),
                               minlength=64 * 16)
+        if state is None:
+            continue
         # Raise r's values to those of the new row: entries >= v move up
         # by one, and so does every bit >= v, while bit v stays.
         m12, s21, i12, i21, b12, b21 = (

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from patfix import oracle
+from patfix.perms import PatternSet
 
 
 def chunk_stats(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -55,6 +56,20 @@ def lexsort_distinct(rows: np.ndarray) -> np.ndarray:
     keep = np.ones(len(rows), dtype=bool)
     keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     return rows[keep]
+
+
+def orbit_by_closure(patterns) -> tuple:
+    """The orbit of {patterns} as a sorted tuple, closed under
+    elementwise inverse and reverse-complement by a breadth-first
+    fixpoint."""
+    ps = PatternSet(patterns)
+    seen = {ps}
+    frontier = [ps]
+    while frontier:
+        frontier = [img for s in frontier for img in (s.apply("I"), s.apply("RC"))
+                    if img not in seen]
+        seen.update(frontier)
+    return tuple(sorted(seen))
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -18,6 +19,49 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _pinned_commands():
+    """Every command in each format it prints, on inputs that reach its
+    edge cases: an open class, a formula below its domain, a column past
+    the diagonal, an empty avoider list, and failing routes."""
+    for cmd, extra in (("table", []), ("sequence", ["--k", "0"]), ("sequence", ["--k", "5"])):
+        for patterns in ("123", "132,231", "231,321"):
+            for method in ("oracle", "formula", "generator"):
+                for fmt in ("plain", "json", "csv"):
+                    yield [cmd, "--patterns", patterns, *extra, "--n-max", "7",
+                           "--method", method, "--format", fmt]
+    for fmt in ("plain", "json", "csv"):
+        for k in ("0", "2"):
+            yield ["sequence", "--patterns", "231,321", "--k", k, "--n-max", "9",
+                   "--method", "gf", "--format", fmt]
+        for patterns, n in (("123", "0"), ("123,321", "6"), ("231,312", "4")):
+            yield ["avoiders", "--patterns", patterns, "--n", n, "--format", fmt]
+    for fmt in ("plain", "json"):
+        yield ["verify", "--all", "--n-max", "7", "--format", fmt]
+        for fid in ("thm-231-312", "thm-132-231"):
+            yield ["verify", "--formula", fid, "--n-max", "7", "--format", fmt]
+        for size in ("1", "2", "3", "6"):
+            yield ["classes", "--size", size, "--mode", "symmetry", "--format", fmt]
+            yield ["classes", "--size", size, "--mode", "superwilf", "--n-max", "6",
+                   "--format", fmt]
+        for k in ("0", "3"):
+            yield ["gf", "--k", k, "--terms", "12", "--format", fmt]
+
+
+# sha256 over (argv, exit code, stdout) of every pinned command.
+CLI_DIGEST = "2d7e5db8718b8259f64be0a2b29db639bba6b482fbd44b53af397a590878cb60"
+
+
+def test_cli_output_digest(capsys, monkeypatch):
+    monkeypatch.delenv(oracle.CAP_ENV_VAR, raising=False)
+    digest = hashlib.sha256()
+    commands = list(_pinned_commands())
+    for argv in commands:
+        code, out, _ = run(capsys, *argv)
+        digest.update(json.dumps([argv, code, out]).encode() + b"\n")
+    assert len(commands) == 122
+    assert digest.hexdigest() == CLI_DIGEST
 
 
 class TestTable:
@@ -318,11 +362,36 @@ class TestFailFast:
         assert message in err and "cap" not in err and not out
         assert not sweeps
 
-    def test_bad_cap_variable_is_a_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv(oracle.CAP_ENV_VAR, "junk")
-        code, _, err = run(capsys, "table", "--patterns", "123", "--n-max", "3")
+    @pytest.mark.parametrize("argv, option", [
+        (["table", "--patterns", "123", "--n-max", "-1"], "--n-max"),
+        (["sequence", "--patterns", "123", "--k", "-1", "--n-max", "3"], "--k"),
+        (["gf", "--k", "0", "--terms", "-1"], "--terms"),
+        (["avoiders", "--patterns", "123", "--n", "-1"], "--n"),
+        (["avoiders", "--patterns", "123", "--n", "3", "--cap", "-1"], "--cap"),
+        (["verify", "--all", "--n-max", "4", "--cap", "-1"], "--cap"),
+        (["classes", "--size", "1", "--n-max", "-1"], "--n-max"),
+    ])
+    def test_negative_count_is_a_usage_error(self, capsys, sweeps, argv, option):
+        code, out, err = run(capsys, *argv)
         assert code == 2
-        assert oracle.CAP_ENV_VAR in err
+        assert f"{option} must be nonnegative" in err and not out
+        assert not sweeps
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--formula", "thm-231-312"],
+        ["classes", "--size", "2"],
+    ])
+    def test_csv_is_refused_where_it_is_not_printed(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 2
+        assert "--format" in err and not out
+
+    @pytest.mark.parametrize("bad", ["junk", "-1"])
+    def test_bad_cap_variable_is_a_usage_error(self, capsys, monkeypatch, bad):
+        monkeypatch.setenv(oracle.CAP_ENV_VAR, bad)
+        code, out, err = run(capsys, "table", "--patterns", "123", "--n-max", "3")
+        assert code == 2
+        assert oracle.CAP_ENV_VAR in err and not out
 
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
         def broken(*args, **kwargs):

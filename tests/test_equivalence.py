@@ -2,6 +2,7 @@ import itertools
 from math import comb
 
 import pytest
+from conftest import orbit_by_closure
 
 from patfix.equivalence import (
     divergence_witness,
@@ -68,6 +69,15 @@ class TestOrbit:
         assert len(orb) == 4
         assert PatternSet.parse("213,312,321") in orb.members
         assert orb.representative == min(orb.members)
+
+    def test_matches_the_closure_on_every_set(self):
+        sets = [PatternSet(c) for size in range(1, 7)
+                for c in itertools.combinations(ALL_PATTERNS, size)]
+        assert len(sets) == 63
+        for ps in sets:
+            orb = orbit(ps)
+            assert orb.members == orbit_by_closure(ps)
+            assert orb.representative == orb.members[0]
 
     def test_orbit_members_share_tables(self):
         for size in (1, 2, 3):

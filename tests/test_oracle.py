@@ -128,14 +128,15 @@ class TestCaps:
         assert "cap of 3" in str(exc.value)
         assert exc.value.n == 4 and exc.value.cap == 3
 
-    def test_cap_env_override(self, monkeypatch):
+    @pytest.mark.parametrize("bad", ["junk", "-1"])
+    def test_cap_env_override(self, monkeypatch, bad):
         monkeypatch.setenv(CAP_ENV_VAR, "2")
         assert resolve_cap() == 2
         with pytest.raises(CapExceeded):
             refined_count(3, "123")
         assert resolve_cap(9) == 9  # explicit beats environment
-        monkeypatch.setenv(CAP_ENV_VAR, "junk")
-        with pytest.raises(ValueError):
+        monkeypatch.setenv(CAP_ENV_VAR, bad)
+        with pytest.raises(ValueError, match=CAP_ENV_VAR):
             resolve_cap()
 
     def test_negative_size_rejected(self):
@@ -281,6 +282,19 @@ class TestSharedSweep:
         assert sweeps == Counter({n: 1 for n in range(8)})
         assert results[::2] == [429] * 4
         assert results[1::2] == [naive_refined(7, "132")] * 4
+
+    def test_no_state_is_built_at_the_hard_limit(self, sweeps, monkeypatch):
+        full = oracle._sweep(6)
+        oracle.clear_cache()
+        monkeypatch.setattr(oracle, "_HARD_LIMIT", 6)
+        refined_count(6, "123", cap=20)
+        last = oracle._sweeps[6]
+        assert last.state is None and full.state is not None
+        assert np.array_equal(last.rows, full.rows)
+        assert np.array_equal(last.masks, full.masks)
+        assert last.histogram == full.histogram
+        with pytest.raises(CapExceeded):
+            refined_count(7, "123", cap=20)
 
     def test_cap_refused_before_any_sweep(self, sweeps):
         with pytest.raises(CapExceeded):
