@@ -236,6 +236,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_classes(args) -> int:
     if args.mode == "symmetry":
+        if args.n_max is not None or args.cap is not None:
+            option = "--n-max" if args.n_max is not None else "--cap"
+            raise UsageError(f"{option} applies only to --mode superwilf")
         members = [[m.canonical() for m in c.members] for c in symmetry_classes(args.size)]
         _emit(args.format, {"mode": "symmetry", "size": args.size, "classes": members},
               plain=lambda: (" ; ".join(m) for m in members))

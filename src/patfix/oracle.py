@@ -22,9 +22,10 @@ permutations by Robertson, Saracino and Zeilberger, Ann. Comb. 6, 2002,
 and Elizalde, EJC 11, 2004, #R51); the values of the new row follow from
 its parent's in O(1) as well.  Taking v in increasing order and the rows
 of size n-1 in their own order yields the rows of size n already in
-lexicographic order.  Each size is built at most once per process, even
-under concurrent callers: the first caller for n builds it (and, first,
-the sizes below it) while the others wait for its result.
+lexicographic order.  A size's six values are built only if the caller's
+cap allows a larger size, so each size is built once per process except
+that a later call under a larger cap rebuilds from size 0.  One caller
+builds the missing sizes under one lock while the others wait.
 
 Counts are plain Python integers end to end; numpy is used only to
 process the rows quickly.
@@ -149,42 +150,39 @@ def fixed_points(rows: np.ndarray) -> np.ndarray:
     return fixed
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Sweep:
     """The permutations of S_n that avoid some length-3 pattern, as
     lexicographically sorted 0-based rows with their per-row pattern
-    masks, and their (pattern mask, fixed points) -> count histogram.
-    ``state`` is only kept until size n+1 has been built from it, and is
-    None at the hard limit."""
+    masks, and their (pattern mask, fixed points) -> count histogram."""
 
     histogram: dict[tuple[int, int], int]
     rows: np.ndarray
     masks: np.ndarray
-    state: _State | None
 
 
-def _run_sweep(n: int) -> _Sweep:
+def _run_sweep(n: int, prev: _Sweep | None, prev_state: _State | None,
+               keep_state: bool) -> tuple[_Sweep, _State | None]:
+    """Size n from size n-1 (``prev``, unused at n = 0) and its six
+    values.  The six values of size n are built, and returned with it,
+    only if ``keep_state``."""
     if n == 0:  # one empty row, which has no pairs
         below, above = np.full(1, -1, dtype=np.int8), np.zeros(1, dtype=np.int8)
         no_bits = np.zeros(1, dtype=np.uint16)
         state = _State(below, below, no_bits, no_bits, above, above)
-        return _Sweep({(0, 0): 1}, np.zeros((1, 0), dtype=np.int8),
-                      np.zeros(1, dtype=np.uint8), state)
-    prev = _sweep(n - 1)
+        return (_Sweep({(0, 0): 1}, np.zeros((1, 0), dtype=np.int8),
+                       np.zeros(1, dtype=np.uint8)), state if keep_state else None)
     # A candidate is a kept row r of size n-1 behind a first entry v.  An
     # occurrence that does not use position 0 is one of r's, so its mask
     # is r's mask plus the patterns that start at v.  Every v's masks are
     # computed first, so the kept rows can be written straight into
     # arrays of their final size.
-    new = [prev.masks | _new_bits(prev.state, v) for v in range(n)]
+    new = [prev.masks | _new_bits(prev_state, v) for v in range(n)]
     total = sum(int(np.count_nonzero(mask != _FULL)) for mask in new)
     rows = np.empty((total, n), dtype=np.int8)
     masks = np.empty(len(rows), dtype=np.uint8)
-    # No size past the hard limit can be asked for, so its state is
-    # never built.
-    state = None if n == _HARD_LIMIT else _State(
-        *(np.empty(len(rows), dtype=a.dtype) for a in prev.state)
-    )
+    state = (_State(*(np.empty(len(rows), dtype=a.dtype) for a in prev_state))
+             if keep_state else None)
     counts = np.zeros(64 * 16, dtype=np.int64)
     end = 0
     for v in range(n):
@@ -208,7 +206,7 @@ def _run_sweep(n: int) -> _Sweep:
         # Raise r's values to those of the new row: entries >= v move up
         # by one, and so does every bit >= v, while bit v stays.
         m12, s21, i12, i21, b12, b21 = (
-            a.take(keep, out=out[part]) for a, out in zip(prev.state, state)
+            a.take(keep, out=out[part]) for a, out in zip(prev_state, state)
         )
         low = (1 << (v + 1)) - 1
         for x in (m12, s21, b12, b21):
@@ -224,39 +222,42 @@ def _run_sweep(n: int) -> _Sweep:
             np.maximum(s21, v - 1, out=s21)
             np.minimum(b21, v, out=b21)
             i21 |= low ^ 1
-    prev.state = None
     histogram = {
         (key >> 4, key & 15): c
         for key, c in enumerate(counts.tolist())
         if c
     }
     rows.flags.writeable = masks.flags.writeable = False
-    return _Sweep(histogram, rows, masks, state)
+    return _Sweep(histogram, rows, masks), state
 
 
-_cache_lock = threading.Lock()
-_sweeps: dict[int, _Sweep] = {}
-_size_locks: dict[int, threading.Lock] = {}
+_build_lock = threading.Lock()
+# Sizes 0..m, replaced whole and never changed once published, and the
+# six values of size m while a larger size may still be asked for.
+_built: tuple[_Sweep, ...] = ()
+_frontier: _State | None = None
 
 
-def _sweep(n: int) -> _Sweep:
-    """The cached rows of size n.  Single-flight: the first caller for n
-    builds them while later callers for the same n wait for its result.
-    Building n takes the lock of n-1 while holding that of n, so locks
-    are always taken in descending order of size."""
-    with _cache_lock:
-        done = _sweeps.get(n)
-        if done is not None:
-            return done
-        size_lock = _size_locks.setdefault(n, threading.Lock())
-    with size_lock:
-        with _cache_lock:
-            done = _sweeps.get(n)
-        if done is None:
-            done = _run_sweep(n)
-            with _cache_lock:
-                _sweeps[n] = done
-    return done
+def _sweep(n: int, limit: int = DEFAULT_CAP) -> _Sweep:
+    """The cached rows of size n, for a caller whose cap is ``limit``.
+    A size already built is returned without a lock.  Otherwise the
+    first caller builds the missing sizes under the build lock while
+    later callers wait.  A size's six values are built only if a larger
+    size is allowed under ``min(limit, _HARD_LIMIT)``."""
+    global _built, _frontier
+    built = _built
+    if n < len(built):
+        return built[n]
+    with _build_lock:
+        built, state = _built, _frontier
+        if n >= len(built) and state is None:
+            built = ()
+        for m in range(len(built), n + 1):
+            keep_state = m < min(limit, _HARD_LIMIT)
+            sweep, state = _run_sweep(m, built[-1] if built else None, state, keep_state)
+            built += (sweep,)
+            _built, _frontier = built, state
+        return built[n]
 
 
 def refined_count(n: int, patterns, *, cap: int | None = None) -> list[int]:
@@ -264,10 +265,10 @@ def refined_count(n: int, patterns, *, cap: int | None = None) -> list[int]:
     S_n avoiding every pattern in ``patterns`` with exactly k fixed
     points."""
     pats = PatternSet(patterns)
-    check_size(n, cap)
+    limit = check_size(n, cap)
     out = [0] * (n + 1)
     tmask = pats.mask
-    for (mask, fp), count in _sweep(n).histogram.items():
+    for (mask, fp), count in _sweep(n, limit).histogram.items():
         if mask & tmask == 0:
             out[fp] += count
     return out
@@ -278,8 +279,7 @@ def avoider_rows(n: int, patterns, *, cap: int | None = None) -> np.ndarray:
     v - 1), in lexicographic order, filtered from the cached rows of
     size n."""
     pats = PatternSet(patterns)
-    check_size(n, cap)
-    sweep = _sweep(n)
+    sweep = _sweep(n, check_size(n, cap))
     return sweep.rows[(sweep.masks & pats.mask) == 0]
 
 
@@ -305,9 +305,6 @@ class CountTable:
             return 0
         return self.rows[n][k]
 
-    def total(self, n: int) -> int:
-        return sum(self.rows[n])
-
     @property
     def n_max(self) -> int:
         return max(self.rows)
@@ -317,8 +314,6 @@ def count_table(n_max: int, patterns, *, cap: int | None = None) -> CountTable:
     """Rows n = 0..n_max of refined counts.  Backed by the shared
     per-size histogram cache, so repeated queries never re-enumerate."""
     pats = PatternSet(patterns)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
     limit = check_size(n_max, cap)
     rows = {n: refined_count(n, pats, cap=limit) for n in range(n_max + 1)}
     return CountTable(pats, rows)
@@ -326,5 +321,6 @@ def count_table(n_max: int, patterns, *, cap: int | None = None) -> CountTable:
 
 def clear_cache() -> None:
     """Drop all cached enumeration state (mainly for tests)."""
-    with _cache_lock:
-        _sweeps.clear()
+    global _built, _frontier
+    with _build_lock:
+        _built, _frontier = (), None

@@ -80,13 +80,12 @@ def sweeps(monkeypatch):
     calls = Counter()
     real = oracle._run_sweep
 
-    def counting(n):
+    def counting(n, *args):
         calls[n] += 1
-        return real(n)
+        return real(n, *args)
 
-    warm = dict(oracle._sweeps)
+    warm = oracle._built, oracle._frontier
     oracle.clear_cache()
     monkeypatch.setattr(oracle, "_run_sweep", counting)
     yield calls
-    oracle.clear_cache()
-    oracle._sweeps.update(warm)
+    oracle._built, oracle._frontier = warm

@@ -377,6 +377,16 @@ class TestFailFast:
         assert f"{option} must be nonnegative" in err and not out
         assert not sweeps
 
+    @pytest.mark.parametrize("argv, option", [
+        (["classes", "--size", "1", "--n-max", "3"], "--n-max"),
+        (["classes", "--size", "1", "--mode", "symmetry", "--cap", "5"], "--cap"),
+    ])
+    def test_superwilf_options_are_refused_in_symmetry_mode(self, capsys, sweeps, argv, option):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert f"{option} applies only to --mode superwilf" in err and not out
+        assert not sweeps
+
     @pytest.mark.parametrize("argv", [
         ["verify", "--formula", "thm-231-312"],
         ["classes", "--size", "2"],

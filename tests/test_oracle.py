@@ -259,9 +259,9 @@ class TestSharedSweep:
     def test_single_flight_under_threads(self, sweeps, monkeypatch):
         counting = oracle._run_sweep
 
-        def slow(n):
+        def slow(n, *args):
             time.sleep(0.05)  # widen the window in which callers overlap
-            return counting(n)
+            return counting(n, *args)
 
         monkeypatch.setattr(oracle, "_run_sweep", slow)
         start = threading.Barrier(8)
@@ -285,16 +285,67 @@ class TestSharedSweep:
 
     def test_no_state_is_built_at_the_hard_limit(self, sweeps, monkeypatch):
         full = oracle._sweep(6)
+        full_state = oracle._frontier
         oracle.clear_cache()
         monkeypatch.setattr(oracle, "_HARD_LIMIT", 6)
         refined_count(6, "123", cap=20)
-        last = oracle._sweeps[6]
-        assert last.state is None and full.state is not None
+        last = oracle._built[6]
+        assert oracle._frontier is None and full_state is not None
         assert np.array_equal(last.rows, full.rows)
         assert np.array_equal(last.masks, full.masks)
         assert last.histogram == full.histogram
         with pytest.raises(CapExceeded):
             refined_count(7, "123", cap=20)
+
+    def test_a_larger_cap_rebuilds_from_size_0(self, sweeps, monkeypatch):
+        monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+        monkeypatch.setattr(oracle, "DEFAULT_CAP", 7)
+        refined_count(7, "123")
+        assert oracle._frontier is None
+        refined_count(8, "123", cap=8)
+        assert sweeps == Counter({**{n: 2 for n in range(8)}, 8: 1})
+        rebuilt = oracle._built
+        oracle.clear_cache()
+        for n, sweep in enumerate(rebuilt):
+            fresh = oracle._sweep(n, 8)
+            assert np.array_equal(sweep.rows, fresh.rows), n
+            assert np.array_equal(sweep.masks, fresh.masks), n
+            assert sweep.histogram == fresh.histogram, n
+
+    def test_a_built_size_is_read_without_the_lock(self):
+        expected = refined_count(5, "123")
+        results = []
+        reader = threading.Thread(target=lambda: results.append(refined_count(5, "123")),
+                                  daemon=True)
+        with oracle._build_lock:
+            reader.start()
+            reader.join(timeout=5)
+            assert not reader.is_alive()
+        assert results == [expected]
+
+    def test_threads_asking_for_different_sizes_build_each_once(self, sweeps, monkeypatch):
+        counting = oracle._run_sweep
+
+        def slow(n, *args):
+            time.sleep(0.01)  # widen the window in which callers overlap
+            return counting(n, *args)
+
+        monkeypatch.setattr(oracle, "_run_sweep", slow)
+        start = threading.Barrier(8)
+
+        def worker(i):
+            start.wait(timeout=10)
+            return sum(refined_count(5 + i % 4, "132"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(worker, range(8), timeout=30))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sweeps == Counter({n: 1 for n in range(9)})
+        assert results == [42, 132, 429, 1430] * 2
 
     def test_cap_refused_before_any_sweep(self, sweeps):
         with pytest.raises(CapExceeded):
