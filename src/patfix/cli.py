@@ -31,6 +31,8 @@ EXIT_CAP = 3
 
 _METHODS_TABLE = ("oracle", "formula", "generator")
 _METHODS_SEQUENCE = ("oracle", "formula", "generator", "gf")
+# The methods that read --cap; the others have no cap to override.
+_CAP_METHODS = ("oracle", "generator")
 # Options that count something; a negative value is a usage error.
 _COUNTS = ("n_max", "k", "n", "terms", "cap")
 
@@ -308,6 +310,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         for dest in _COUNTS:
             if (getattr(args, dest, None) or 0) < 0:
                 raise UsageError(f"--{dest.replace('_', '-')} must be nonnegative")
+        if getattr(args, "method", "oracle") not in _CAP_METHODS and args.cap is not None:
+            raise UsageError("--cap applies only to --method oracle and generator")
         return args.func(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

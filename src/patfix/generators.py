@@ -304,7 +304,7 @@ def check_size(n: int, cap: int | None = None) -> int:
         raise ValueError("permutation size must be nonnegative")
     limit = GENERATOR_CAP if cap is None else cap
     if n > limit:
-        raise CapExceeded(n, limit, subject="structural generation")
+        raise CapExceeded(n, limit, subject="structural generation", override="--cap")
     return limit
 
 

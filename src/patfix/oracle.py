@@ -16,13 +16,14 @@ entry of a permutation that avoids a pattern (and closing the gap in
 the values) leaves a permutation that avoids it, so every kept row of
 S_n comes from exactly one first entry and one kept row of S_{n-1}.
 A candidate's mask is its parent row's mask plus the patterns that
-start at v, which six values kept per row decide in O(1) (the
-insertion-step form of the values used for refined restricted
-permutations by Robertson, Saracino and Zeilberger, Ann. Comb. 6, 2002,
-and Elizalde, EJC 11, 2004, #R51); the values of the new row follow from
-its parent's in O(1) as well.  Taking v in increasing order and the rows
-of size n-1 in their own order yields the rows of size n already in
-lexicographic order.  A size's six values are built only if the caller's
+start at v, which the parent's start table gives at once: one 6-bit mask
+per row and per possible first entry (the insertion-step form of the
+values used for refined restricted permutations by Robertson, Saracino
+and Zeilberger, Ann. Comb. 6, 2002, and Elizalde, EJC 11, 2004, #R51).
+The new row's table is its parent's with column v repeated, plus the
+patterns that start with v second.  Taking v in increasing order and the
+rows of size n-1 in their own order yields the rows of size n already in
+lexicographic order.  A size's start table is built only if the caller's
 cap allows a larger size, so each size is built once per process except
 that a later call under a larger cap rebuilds from size 0.  One caller
 builds the missing sizes under one lock while the others wait.
@@ -36,7 +37,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -60,7 +61,8 @@ __all__ = [
 DEFAULT_CAP = 13
 CAP_ENV_VAR = "PATFIX_ORACLE_CAP"
 
-# Fixed-point counts are packed into 4 bits of the histogram key.
+# Fixed-point counts are packed into 4 bits of the histogram key; that
+# field alone bounds the size.
 _HARD_LIMIT = 15
 
 # The mask of a permutation that contains every length-3 pattern.
@@ -70,10 +72,11 @@ _FULL = (1 << 6) - 1
 class CapExceeded(Exception):
     """An exhaustive pass (or structural generation) was refused."""
 
-    def __init__(self, n: int, cap: int, subject: str = "oracle enumeration"):
+    def __init__(self, n: int, cap: int, subject: str = "oracle enumeration",
+                 override: str = f"--cap or {CAP_ENV_VAR}"):
         self.n = n
         self.cap = cap
-        hint = f" (override with --cap or {CAP_ENV_VAR})" if "oracle" in subject else ""
+        hint = f" (override with {override})" if override else ""
         super().__init__(f"size {n} exceeds the {subject} cap of {cap}{hint}")
 
 
@@ -107,37 +110,25 @@ def check_size(n: int, cap: int | None = None) -> int:
     if n > limit:
         raise CapExceeded(n, limit)
     if n > _HARD_LIMIT:
-        raise CapExceeded(n, _HARD_LIMIT, subject="exhaustive histogram")
+        raise CapExceeded(n, _HARD_LIMIT, subject="exhaustive histogram", override="")
     return limit
 
 
-class _State(NamedTuple):
-    """Six values per row that decide which patterns an occurrence
-    starting at a new first entry v completes, for every v at once.
-    Values are 0-based entries of the row, and a pair is two positions
-    i < j.  With no such pair, m12 and s21 hold -1 and b12 and b21 hold
-    the row's size, below and above every entry.  A bit set holds bits
-    1..n-1 of a row of size n, so it fits in 16 bits because no row is
-    longer than _HARD_LIMIT = 15 entries."""
-
-    m12: np.ndarray  # int8, largest smaller entry of an ascent pair: 123 iff v <= m12
-    s21: np.ndarray  # int8, largest smaller entry of a descent pair: 132 iff v <= s21
-    i12: np.ndarray  # uint16, union of {a+1..b} over ascent pairs (a, b): 213 iff bit v
-    i21: np.ndarray  # uint16, union of {b+1..a} over descent pairs (a, b): 231 iff bit v
-    b12: np.ndarray  # int8, smallest larger entry of an ascent pair: 312 iff b12 < v
-    b21: np.ndarray  # int8, smallest larger entry of a descent pair: 321 iff b21 < v
-
-
-def _new_bits(state: _State, v: int) -> np.ndarray:
-    """Per row, the mask bits of the patterns that start at a new first
-    entry v, in the order of ALL_PATTERNS."""
-    bits = (state.m12 >= v).view(np.uint8)
-    bits |= (state.s21 >= v).view(np.uint8) << 1
-    bits |= ((state.i12 >> v) & 1).astype(np.uint8) << 2
-    bits |= ((state.i21 >> v) & 1).astype(np.uint8) << 3
-    bits |= (state.b12 < v).view(np.uint8) << 4
-    bits |= (state.b21 < v).view(np.uint8) << 5
-    return bits
+def _starts(n: int, v: int) -> np.ndarray:
+    """For a row of size n whose first entry is v, the mask of the
+    patterns that start at a new first entry w = 0..n with v second and
+    some later entry x third, in the order of ALL_PATTERNS.  The row's
+    later entries are every value but v, so some x is above v iff
+    v < n - 1 and below v iff v > 0."""
+    up, down = v < n - 1, v > 0
+    return np.array([sum(bit << i for i, bit in enumerate((
+        up and w <= v,  # 123
+        down and w < v,  # 132
+        up and v < w < n,  # 213
+        down and 0 < w <= v,  # 231
+        up and w > v + 1,  # 312
+        down and w > v,  # 321
+    ))) for w in range(n + 1)], dtype=np.uint8)
 
 
 def fixed_points(rows: np.ndarray) -> np.ndarray:
@@ -161,34 +152,33 @@ class _Sweep:
     masks: np.ndarray
 
 
-def _run_sweep(n: int, prev: _Sweep | None, prev_state: _State | None,
-               keep_state: bool) -> tuple[_Sweep, _State | None]:
-    """Size n from size n-1 (``prev``, unused at n = 0) and its six
-    values.  The six values of size n are built, and returned with it,
-    only if ``keep_state``."""
-    if n == 0:  # one empty row, which has no pairs
-        below, above = np.full(1, -1, dtype=np.int8), np.zeros(1, dtype=np.int8)
-        no_bits = np.zeros(1, dtype=np.uint16)
-        state = _State(below, below, no_bits, no_bits, above, above)
+def _run_sweep(n: int, prev: _Sweep | None, prev_table: np.ndarray | None,
+               keep_table: bool) -> tuple[_Sweep, np.ndarray | None]:
+    """Size n from size n-1 (``prev``, unused at n = 0) and its start
+    table.  The start table of size n is built, and returned with it,
+    only if ``keep_table``.
+
+    Entry [r, w] of the start table of a size is the mask of the
+    patterns that have an occurrence at position 0 of the row r with w
+    placed first (and r's entries >= w raised by one)."""
+    if n == 0:  # one empty row, which no w starts a pattern in
         return (_Sweep({(0, 0): 1}, np.zeros((1, 0), dtype=np.int8),
-                       np.zeros(1, dtype=np.uint8)), state if keep_state else None)
+                       np.zeros(1, dtype=np.uint8)),
+                np.zeros((1, 1), dtype=np.uint8) if keep_table else None)
     # A candidate is a kept row r of size n-1 behind a first entry v.  An
     # occurrence that does not use position 0 is one of r's, so its mask
     # is r's mask plus the patterns that start at v.  Every v's masks are
-    # computed first, so the kept rows can be written straight into
+    # counted first, so the kept rows can be written straight into
     # arrays of their final size.
-    new = [prev.masks | _new_bits(prev_state, v) for v in range(n)]
-    total = sum(int(np.count_nonzero(mask != _FULL)) for mask in new)
+    total = sum(int(np.count_nonzero((prev.masks | prev_table[:, v]) != _FULL))
+                for v in range(n))
     rows = np.empty((total, n), dtype=np.int8)
     masks = np.empty(len(rows), dtype=np.uint8)
-    state = (_State(*(np.empty(len(rows), dtype=a.dtype) for a in prev_state))
-             if keep_state else None)
+    table = np.empty((len(rows), n + 1), dtype=np.uint8) if keep_table else None
     counts = np.zeros(64 * 16, dtype=np.int64)
     end = 0
     for v in range(n):
-        # Each v's masks and raised rows are dropped as soon as they are
-        # written, which lowers the peak memory of large sizes.
-        candidates, new[v] = new[v], None
+        candidates = prev.masks | prev_table[:, v]
         keep = np.flatnonzero(candidates != _FULL)
         part = slice(end, end + len(keep))
         end = part.stop
@@ -201,62 +191,50 @@ def _run_sweep(n: int, prev: _Sweep | None, prev_state: _State | None,
         mask = candidates.take(keep, out=masks[part])
         counts += np.bincount((mask.astype(np.uint16) << 4) | fixed_points(block),
                               minlength=64 * 16)
-        if state is None:
+        if table is None:
             continue
-        # Raise r's values to those of the new row: entries >= v move up
-        # by one, and so does every bit >= v, while bit v stays.
-        m12, s21, i12, i21, b12, b21 = (
-            a.take(keep, out=out[part]) for a, out in zip(prev_state, state)
-        )
-        low = (1 << (v + 1)) - 1
-        for x in (m12, s21, b12, b21):
-            x += x >= v
-        for x in (i12, i21):
-            x[:] = (x & low) | ((x >> v) << (v + 1))
-        # Then add the pairs (v, x) for every later entry x.
-        if v < n - 1:
-            np.maximum(m12, v, out=m12)
-            np.minimum(b12, v + 1, out=b12)
-            i12 |= ((1 << n) - 1) ^ low
-        if v > 0:
-            np.maximum(s21, v - 1, out=s21)
-            np.minimum(b21, v, out=b21)
-            i21 |= low ^ 1
+        # A w <= v sees r's entries as r's own column w does, and a w > v
+        # as column w - 1 does; then add the starts (w, v, x).
+        parent = prev_table.take(keep, axis=0)
+        starts = table[part]
+        starts[:, :v + 1] = parent[:, :v + 1]
+        starts[:, v + 1:] = parent[:, v:]
+        starts |= _starts(n, v)
     histogram = {
         (key >> 4, key & 15): c
         for key, c in enumerate(counts.tolist())
         if c
     }
     rows.flags.writeable = masks.flags.writeable = False
-    return _Sweep(histogram, rows, masks), state
+    return _Sweep(histogram, rows, masks), table
 
 
 _build_lock = threading.Lock()
 # Sizes 0..m, replaced whole and never changed once published, and the
-# six values of size m while a larger size may still be asked for.
+# start table of size m while a larger size may still be asked for.
 _built: tuple[_Sweep, ...] = ()
-_frontier: _State | None = None
+_frontier: np.ndarray | None = None
 
 
 def _sweep(n: int, limit: int = DEFAULT_CAP) -> _Sweep:
     """The cached rows of size n, for a caller whose cap is ``limit``.
     A size already built is returned without a lock.  Otherwise the
     first caller builds the missing sizes under the build lock while
-    later callers wait.  A size's six values are built only if a larger
+    later callers wait.  A size's start table is built only if a larger
     size is allowed under ``min(limit, _HARD_LIMIT)``."""
     global _built, _frontier
     built = _built
     if n < len(built):
         return built[n]
     with _build_lock:
-        built, state = _built, _frontier
-        if n >= len(built) and state is None:
+        built, table = _built, _frontier
+        if n >= len(built) and table is None:
             built = ()
         for m in range(len(built), n + 1):
-            keep_state = m < min(limit, _HARD_LIMIT)
-            sweep, state = _run_sweep(m, built[-1] if built else None, state, keep_state)
+            keep_table = m < min(limit, _HARD_LIMIT)
+            sweep, table = _run_sweep(m, built[-1] if built else None, table, keep_table)
             built += (sweep,)
-            _built, _frontier = built, state
+            _built, _frontier = built, table
         return built[n]
 
 

@@ -344,6 +344,7 @@ class TestFailFast:
         code, _, err = run(capsys, *argv)
         assert code == 3
         assert "structural generation cap of 14" in err
+        assert "(override with --cap)" in err
 
     @pytest.mark.parametrize("argv, message", [
         (["table", "--method", "generator"], "no structural generator for {123}"),
@@ -385,6 +386,17 @@ class TestFailFast:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert f"{option} applies only to --mode superwilf" in err and not out
+        assert not sweeps
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--method", "formula", "--n-max", "3"],
+        ["sequence", "--method", "formula", "--k", "0", "--n-max", "3"],
+        ["sequence", "--method", "gf", "--k", "0", "--n-max", "3"],
+    ])
+    def test_cap_is_refused_where_no_route_reads_it(self, capsys, sweeps, argv):
+        code, out, err = run(capsys, *argv, "--patterns", "231,321", "--cap", "1")
+        assert code == 2
+        assert "--cap applies only to --method oracle and generator" in err and not out
         assert not sweeps
 
     @pytest.mark.parametrize("argv", [

@@ -240,6 +240,25 @@ class TestSharedSweep:
         assert len(sweep.rows) == count
         assert h.hexdigest() == digest
 
+    def test_start_table_matches_the_definition(self, sweeps):
+        # Entry [r, w] has bit i iff ALL_PATTERNS[i] occurs on a triple
+        # (0, j, k) of row r with w placed first and r's entries >= w
+        # raised by one.
+        for n in range(8):
+            oracle._sweep(n, 20)
+            rows, table = oracle._built[n].rows, oracle._frontier
+            assert table.shape == (len(rows), n + 1), n
+            for w in range(n + 1):
+                placed = np.column_stack([np.full(len(rows), w), rows + (rows >= w)])
+                expected = np.zeros(len(rows), dtype=np.uint8)
+                for j, k in itertools.combinations(range(1, n + 1), 2):
+                    a, b, c = placed[:, 0], placed[:, j], placed[:, k]
+                    for i, p in enumerate(ALL_PATTERNS):
+                        occurs = (((a < b) == (p[0] < p[1])) & ((a < c) == (p[0] < p[2]))
+                                  & ((b < c) == (p[1] < p[2])))
+                        expected |= occurs.astype(np.uint8) << i
+                assert np.array_equal(table[:, w], expected), (n, w)
+
     def test_audit_sweeps_each_size_once(self, sweeps):
         audit_all(9)
         assert sweeps == Counter({n: 1 for n in range(10)})
