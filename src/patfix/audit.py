@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -84,15 +84,7 @@ class AuditReport:
         return self.status == VERIFIED
 
     def to_json_dict(self) -> dict:
-        ce = None
-        if self.counterexample is not None:
-            c = self.counterexample
-            ce = {
-                "n": c.n,
-                "k": c.k,
-                "formula_value": c.formula_value,
-                "oracle_value": c.oracle_value,
-            }
+        ce = None if self.counterexample is None else asdict(self.counterexample)
         out = {
             "formula": self.item_id,
             "kind": self.kind,

@@ -2,7 +2,8 @@
 partitions, generating functions and avoider dumps.
 
 Exit codes: 0 success (and everything verified), 1 at least one audited
-item is discrepant, 2 usage error, 3 resource cap exceeded.  Results go
+item is discrepant, 2 usage error, 3 resource cap exceeded, 141 stdout
+closed by its reader before all output was written.  Results go
 to stdout, diagnostics to stderr.  JSON output renders every count as a
 decimal string so exactness survives any consumer.
 """
@@ -13,6 +14,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -28,6 +30,7 @@ EXIT_OK = 0
 EXIT_DISCREPANT = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer the signal ends
 
 _METHODS_TABLE = ("oracle", "formula", "generator")
 _METHODS_SEQUENCE = ("oracle", "formula", "generator", "gf")
@@ -312,7 +315,15 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise UsageError(f"--{dest.replace('_', '-')} must be nonnegative")
         if getattr(args, "method", "oracle") not in _CAP_METHODS and args.cap is not None:
             raise UsageError("--cap applies only to --method oracle and generator")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: point it at devnull so the exit flush cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

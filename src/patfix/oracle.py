@@ -4,10 +4,10 @@ For every size n the oracle knows, for each permutation of S_n that
 avoids at least one of the six length-3 patterns, which of them it
 contains (a 6-bit mask) and how many fixed points it has.  A pattern set
 is never empty, so the permutations that contain all six patterns never
-count and are not kept.  The (mask, fixed-point-count) histogram answers
-every refined-count query for every pattern set at that size, and
-listing the avoiders of a pattern set is a boolean filter on the kept
-rows.
+count and are not kept.  Summing one (mask, fixed points) histogram per
+size over the masks that miss each pattern set gives every set's row of
+refined counts, so a query is a lookup; listing the avoiders of a
+pattern set is a boolean filter on the kept rows.
 
 The rows of size n are grown from those of size n-1 in one insertion
 step: each kept row of size n-1 gets each possible first entry v, with
@@ -23,10 +23,10 @@ and Zeilberger, Ann. Comb. 6, 2002, and Elizalde, EJC 11, 2004, #R51).
 The new row's table is its parent's with column v repeated, plus the
 patterns that start with v second.  Taking v in increasing order and the
 rows of size n-1 in their own order yields the rows of size n already in
-lexicographic order.  A size's start table is built only if the caller's
-cap allows a larger size, so each size is built once per process except
-that a later call under a larger cap rebuilds from size 0.  One caller
-builds the missing sizes under one lock while the others wait.
+lexicographic order.  A size's start table is built when the next size
+is first asked for, so the table of the largest size asked for is never
+built and each size is built once per process, whatever the cap.  One
+caller builds the missing sizes under one lock while the others wait.
 
 Counts are plain Python integers end to end; numpy is used only to
 process the rows quickly.
@@ -141,41 +141,35 @@ def fixed_points(rows: np.ndarray) -> np.ndarray:
     return fixed
 
 
+# Rows per fixed-point count and bincount: about n numpy calls a size.
+_CHUNK = 1 << 17
+
+
 @dataclass(frozen=True)
 class _Sweep:
     """The permutations of S_n that avoid some length-3 pattern, as
     lexicographically sorted 0-based rows with their per-row pattern
-    masks, and their (pattern mask, fixed points) -> count histogram."""
+    masks, and every pattern set's refined counts: entry [T][k] is the
+    number of rows with k fixed points whose mask shares no bit with the
+    pattern mask T, as a Python int.  Never changed once built."""
 
-    histogram: dict[tuple[int, int], int]
     rows: np.ndarray
     masks: np.ndarray
+    counts: list[list[int]]
 
 
-def _run_sweep(n: int, prev: _Sweep | None, prev_table: np.ndarray | None,
-               keep_table: bool) -> tuple[_Sweep, np.ndarray | None]:
+def _run_sweep(n: int, prev: _Sweep | None, prev_table: np.ndarray) -> _Sweep:
     """Size n from size n-1 (``prev``, unused at n = 0) and its start
-    table.  The start table of size n is built, and returned with it,
-    only if ``keep_table``.
-
-    Entry [r, w] of the start table of a size is the mask of the
-    patterns that have an occurrence at position 0 of the row r with w
-    placed first (and r's entries >= w raised by one)."""
-    if n == 0:  # one empty row, which no w starts a pattern in
-        return (_Sweep({(0, 0): 1}, np.zeros((1, 0), dtype=np.int8),
-                       np.zeros(1, dtype=np.uint8)),
-                np.zeros((1, 1), dtype=np.uint8) if keep_table else None)
+    table (see :func:`_start_table`)."""
     # A candidate is a kept row r of size n-1 behind a first entry v.  An
     # occurrence that does not use position 0 is one of r's, so its mask
     # is r's mask plus the patterns that start at v.  Every v's masks are
     # counted first, so the kept rows can be written straight into
-    # arrays of their final size.
+    # arrays of their final size.  Size 0 is one empty row.
     total = sum(int(np.count_nonzero((prev.masks | prev_table[:, v]) != _FULL))
-                for v in range(n))
+                for v in range(n)) if n else 1
     rows = np.empty((total, n), dtype=np.int8)
-    masks = np.empty(len(rows), dtype=np.uint8)
-    table = np.empty((len(rows), n + 1), dtype=np.uint8) if keep_table else None
-    counts = np.zeros(64 * 16, dtype=np.int64)
+    masks = np.zeros(len(rows), dtype=np.uint8)
     end = 0
     for v in range(n):
         candidates = prev.masks | prev_table[:, v]
@@ -184,57 +178,71 @@ def _run_sweep(n: int, prev: _Sweep | None, prev_table: np.ndarray | None,
         end = part.stop
         tail = prev.rows.take(keep, axis=0)
         tail += tail >= v
-        block = rows[part]
-        block[:, 0] = v
-        block[:, 1:] = tail
+        rows[part, 0] = v
+        rows[part, 1:] = tail
         del tail
-        mask = candidates.take(keep, out=masks[part])
-        counts += np.bincount((mask.astype(np.uint16) << 4) | fixed_points(block),
-                              minlength=64 * 16)
-        if table is None:
-            continue
+        candidates.take(keep, out=masks[part])
+    rows.flags.writeable = masks.flags.writeable = False
+    # One (mask, fixed points) histogram.  A count is at most 15! < 2**63.
+    histogram = np.zeros(64 * 16, dtype=np.int64)
+    for start in range(0, len(rows), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        key = (masks[part].astype(np.uint16) << 4) | fixed_points(rows[part])
+        histogram += np.bincount(key, minlength=64 * 16)
+    # A cumulative sum along each mask bit's axis makes entry S the sum over
+    # the masks within S; those that miss T are within 63 ^ T = 63 - T.
+    sums = histogram.reshape((2,) * 6 + (16,))[..., :n + 1]
+    for axis in range(6):
+        sums = sums.cumsum(axis=axis)
+    return _Sweep(rows, masks, sums.reshape(64, n + 1)[::-1].tolist())
+
+
+def _start_table(prev: _Sweep, prev_table: np.ndarray, size: int) -> np.ndarray:
+    """The start table of the ``size`` rows that :func:`_run_sweep` keeps
+    from ``prev`` and its table.  Entry [r, w] is the mask of the patterns
+    at position 0 of row r with w placed first (r's entries >= w raised)."""
+    n = prev_table.shape[1]
+    table = np.empty((size, n + 1), dtype=np.uint8)
+    end = 0
+    for v in range(n):
+        keep = np.flatnonzero((prev.masks | prev_table[:, v]) != _FULL)
+        starts = table[end:end + len(keep)]
+        end += len(keep)
         # A w <= v sees r's entries as r's own column w does, and a w > v
         # as column w - 1 does; then add the starts (w, v, x).
         parent = prev_table.take(keep, axis=0)
-        starts = table[part]
         starts[:, :v + 1] = parent[:, :v + 1]
         starts[:, v + 1:] = parent[:, v:]
         starts |= _starts(n, v)
-    histogram = {
-        (key >> 4, key & 15): c
-        for key, c in enumerate(counts.tolist())
-        if c
-    }
-    rows.flags.writeable = masks.flags.writeable = False
-    return _Sweep(histogram, rows, masks), table
+    return table
 
 
 _build_lock = threading.Lock()
+# The start table of size 0: no w starts a pattern in the empty row.
+_EMPTY_TABLE = np.zeros((1, 1), dtype=np.uint8)
 # Sizes 0..m, replaced whole and never changed once published, and the
-# start table of size m while a larger size may still be asked for.
+# start table of size m - 1 (size 0 until size 2 is built).
 _built: tuple[_Sweep, ...] = ()
-_frontier: np.ndarray | None = None
+_frontier: np.ndarray = _EMPTY_TABLE
 
 
-def _sweep(n: int, limit: int = DEFAULT_CAP) -> _Sweep:
-    """The cached rows of size n, for a caller whose cap is ``limit``.
-    A size already built is returned without a lock.  Otherwise the
-    first caller builds the missing sizes under the build lock while
-    later callers wait.  A size's start table is built only if a larger
-    size is allowed under ``min(limit, _HARD_LIMIT)``."""
+def _sweep(n: int) -> _Sweep:
+    """The cached rows of size n.  A size already built is returned
+    without a lock.  Otherwise the first caller builds the missing sizes
+    under the build lock while later callers wait.  The start table of
+    size n is built only once size n + 1 is asked for."""
     global _built, _frontier
     built = _built
     if n < len(built):
         return built[n]
     with _build_lock:
         built, table = _built, _frontier
-        if n >= len(built) and table is None:
-            built = ()
         for m in range(len(built), n + 1):
-            keep_table = m < min(limit, _HARD_LIMIT)
-            sweep, table = _run_sweep(m, built[-1] if built else None, table, keep_table)
-            built += (sweep,)
-            _built, _frontier = built, table
+            # Size m reads the table of size m - 1.  Its width gives its
+            # size, which a build that raised may have left one ahead.
+            if table.shape[1] < m:
+                _frontier = table = _start_table(built[m - 2], table, len(built[m - 1].rows))
+            _built = built = built + (_run_sweep(m, built[-1] if built else None, table),)
         return built[n]
 
 
@@ -243,13 +251,8 @@ def refined_count(n: int, patterns, *, cap: int | None = None) -> list[int]:
     S_n avoiding every pattern in ``patterns`` with exactly k fixed
     points."""
     pats = PatternSet(patterns)
-    limit = check_size(n, cap)
-    out = [0] * (n + 1)
-    tmask = pats.mask
-    for (mask, fp), count in _sweep(n, limit).histogram.items():
-        if mask & tmask == 0:
-            out[fp] += count
-    return out
+    check_size(n, cap)
+    return list(_sweep(n).counts[pats.mask])
 
 
 def avoider_rows(n: int, patterns, *, cap: int | None = None) -> np.ndarray:
@@ -257,7 +260,8 @@ def avoider_rows(n: int, patterns, *, cap: int | None = None) -> np.ndarray:
     v - 1), in lexicographic order, filtered from the cached rows of
     size n."""
     pats = PatternSet(patterns)
-    sweep = _sweep(n, check_size(n, cap))
+    check_size(n, cap)
+    sweep = _sweep(n)
     return sweep.rows[(sweep.masks & pats.mask) == 0]
 
 
@@ -290,7 +294,7 @@ class CountTable:
 
 def count_table(n_max: int, patterns, *, cap: int | None = None) -> CountTable:
     """Rows n = 0..n_max of refined counts.  Backed by the shared
-    per-size histogram cache, so repeated queries never re-enumerate."""
+    per-size count cache, so repeated queries never re-enumerate."""
     pats = PatternSet(patterns)
     limit = check_size(n_max, cap)
     rows = {n: refined_count(n, pats, cap=limit) for n in range(n_max + 1)}
@@ -301,4 +305,4 @@ def clear_cache() -> None:
     """Drop all cached enumeration state (mainly for tests)."""
     global _built, _frontier
     with _build_lock:
-        _built, _frontier = (), None
+        _built, _frontier = (), _EMPTY_TABLE

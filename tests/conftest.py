@@ -49,6 +49,24 @@ def chunk_stats(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mask, fixed
 
 
+def histogram_of(rows: np.ndarray, masks: np.ndarray) -> Counter:
+    """The (pattern mask, fixed-point count) -> count histogram of rows
+    with their masks."""
+    fixed = (rows == np.arange(rows.shape[1])).sum(axis=1)
+    return Counter(zip(masks.tolist(), fixed.tolist()))
+
+
+def filtered_count(histogram, tmask: int, n: int) -> list[int]:
+    """Refined counts of the pattern set with mask ``tmask`` at size n:
+    one pass over a (mask, fixed points) histogram, adding every entry
+    whose mask shares no bit with ``tmask``."""
+    out = [0] * (n + 1)
+    for (mask, fp), count in histogram.items():
+        if mask & tmask == 0:
+            out[fp] += count
+    return out
+
+
 def lexsort_distinct(rows: np.ndarray) -> np.ndarray:
     """``rows`` in lexicographic order, each once: one ``np.lexsort``
     over the columns, then a row-by-row comparison with the row before."""

@@ -433,6 +433,23 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "series: 1,0,1,1" in proc.stdout
 
+    def test_a_closed_stdout_exits_141_quietly(self):
+        # 16,796 lines are far more than a pipe holds, so the command is
+        # still writing when the reader closes the pipe after one byte.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "patfix", "avoiders", "--patterns", "132", "--n", "10"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.read(1) == b"1"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == cli.EXIT_PIPE == 141
+        assert err == b""
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 

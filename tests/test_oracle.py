@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import chunk_stats
+from conftest import chunk_stats, filtered_count, histogram_of
 
 from patfix import oracle
 from patfix.audit import audit_all
@@ -192,11 +192,7 @@ class TestSharedSweep:
         for size in range(1, 7):
             for combo in itertools.combinations(ALL_PATTERNS, size):
                 ps = PatternSet(combo)
-                expected = [0] * (n + 1)
-                for (m, fp), count in histogram.items():
-                    if m & ps.mask == 0:
-                        expected[fp] += count
-                assert refined_count(n, ps) == expected, ps
+                assert refined_count(n, ps) == filtered_count(histogram, ps.mask, n), ps
 
     def test_single_patterns_give_catalan_at_ten(self):
         for q in ALL_PATTERNS:
@@ -217,12 +213,17 @@ class TestSharedSweep:
 
     def test_cached_masks_and_fixed_points_match_the_reference(self):
         # The incremental masks against chunk_stats, which resolves every
-        # row's containment from its own entries.
-        for n in range(10):
+        # row's containment from its own entries, and the count table's
+        # row of every mask (the 63 pattern sets and 0) against the
+        # filtered histogram.  The 64 rows determine the histogram.
+        for n in range(11):
             sweep = oracle._sweep(n)
             mask, fixed = chunk_stats(sweep.rows)
             assert np.array_equal(sweep.masks, mask), n
-            assert Counter(zip(mask.tolist(), fixed.tolist())) == sweep.histogram, n
+            histogram = Counter(zip(mask.tolist(), fixed.tolist()))
+            assert sweep.counts == [filtered_count(histogram, t, n) for t in range(64)], n
+            # Python ints, so no numpy integer reaches str() or JSON.
+            assert all(type(c) is int for row in sweep.counts for c in row), n
 
     @pytest.mark.parametrize("n, count, digest", [
         (10, 95_774, "03dcc848705ebf5137d4b23ca9a32c038b2f430b9006873fba247a7387343eb1"),
@@ -236,16 +237,18 @@ class TestSharedSweep:
         h = hashlib.sha256()
         h.update(sweep.rows.tobytes())
         h.update(sweep.masks.tobytes())
-        h.update(repr(sorted(sweep.histogram.items())).encode())
+        histogram = histogram_of(sweep.rows, sweep.masks)
+        h.update(repr(sorted(histogram.items())).encode())
         assert len(sweep.rows) == count
         assert h.hexdigest() == digest
+        assert sweep.counts == [filtered_count(histogram, t, n) for t in range(64)]
 
     def test_start_table_matches_the_definition(self, sweeps):
         # Entry [r, w] has bit i iff ALL_PATTERNS[i] occurs on a triple
         # (0, j, k) of row r with w placed first and r's entries >= w
         # raised by one.
         for n in range(8):
-            oracle._sweep(n, 20)
+            oracle._sweep(n + 1)
             rows, table = oracle._built[n].rows, oracle._frontier
             assert table.shape == (len(rows), n + 1), n
             for w in range(n + 1):
@@ -303,33 +306,55 @@ class TestSharedSweep:
         assert results[1::2] == [naive_refined(7, "132")] * 4
 
     def test_no_state_is_built_at_the_hard_limit(self, sweeps, monkeypatch):
+        # After size n is built the frontier is the table of size n - 1,
+        # so the table of the largest size asked for is never built.
+        for n in range(1, 7):
+            oracle._sweep(n)
+            assert oracle._frontier.shape == (len(oracle._built[n - 1].rows), n), n
         full = oracle._sweep(6)
-        full_state = oracle._frontier
         oracle.clear_cache()
         monkeypatch.setattr(oracle, "_HARD_LIMIT", 6)
         refined_count(6, "123", cap=20)
         last = oracle._built[6]
-        assert oracle._frontier is None and full_state is not None
+        assert oracle._frontier.shape == (len(oracle._built[5].rows), 6)
         assert np.array_equal(last.rows, full.rows)
         assert np.array_equal(last.masks, full.masks)
-        assert last.histogram == full.histogram
+        assert last.counts == full.counts
         with pytest.raises(CapExceeded):
             refined_count(7, "123", cap=20)
 
-    def test_a_larger_cap_rebuilds_from_size_0(self, sweeps, monkeypatch):
+    def test_a_larger_cap_builds_only_the_new_sizes(self, sweeps, monkeypatch):
         monkeypatch.delenv(CAP_ENV_VAR, raising=False)
         monkeypatch.setattr(oracle, "DEFAULT_CAP", 7)
         refined_count(7, "123")
-        assert oracle._frontier is None
+        assert oracle._frontier.shape == (len(oracle._built[6].rows), 7)
         refined_count(8, "123", cap=8)
-        assert sweeps == Counter({**{n: 2 for n in range(8)}, 8: 1})
-        rebuilt = oracle._built
+        assert sweeps == Counter({n: 1 for n in range(9)})
+        built = oracle._built
         oracle.clear_cache()
-        for n, sweep in enumerate(rebuilt):
-            fresh = oracle._sweep(n, 8)
+        for n, sweep in enumerate(built):
+            fresh = oracle._sweep(n)
             assert np.array_equal(sweep.rows, fresh.rows), n
             assert np.array_equal(sweep.masks, fresh.masks), n
-            assert sweep.histogram == fresh.histogram, n
+            assert sweep.counts == fresh.counts, n
+
+    def test_a_build_that_raised_resumes_where_it_stopped(self, sweeps, monkeypatch):
+        counting = oracle._run_sweep
+
+        def failing(n, *args):
+            if n == 6:
+                raise MemoryError
+            return counting(n, *args)
+
+        monkeypatch.setattr(oracle, "_run_sweep", failing)
+        with pytest.raises(MemoryError):
+            refined_count(7, "132")
+        # Size 5's table was published before size 6 failed.
+        assert len(oracle._built) == 6
+        assert oracle._frontier.shape == (len(oracle._built[5].rows), 6)
+        monkeypatch.setattr(oracle, "_run_sweep", counting)
+        assert refined_count(7, "132") == naive_refined(7, "132")
+        assert sweeps == Counter({n: 1 for n in range(8)})
 
     def test_a_built_size_is_read_without_the_lock(self):
         expected = refined_count(5, "123")
