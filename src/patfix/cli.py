@@ -21,7 +21,7 @@ from typing import Sequence
 from . import audit as audit_mod
 from . import generators
 from .equivalence import divergence_witness, super_wilf_classes, symmetry_classes
-from .formulas import cell_text, evaluate, formula_for_patterns, formula_ids
+from .formulas import cell_text, evaluate, formula_for_patterns, formula_ids, row_text
 from .genfun import gf_for_k, poly_text, series_coefficients
 from .oracle import CapExceeded, check_size, enumerate_avoiders, refined_count
 from .perms import ALL_PATTERNS, PatternSet
@@ -142,16 +142,21 @@ def _join(cells, missing: str) -> str:
     return ",".join(missing if v is None else v for v in cells)
 
 
+def _formula_id(ps: PatternSet) -> str:
+    f = formula_for_patterns(ps)
+    if f is None:
+        raise UsageError(f"no closed form is registered for {{{ps.canonical()}}}")
+    return f.formula_id
+
+
 def _rows(ps: PatternSet, n_max: int, method: str, cap: int | None) -> list[list[str | None]]:
     """Rows n = 0..n_max of the refined table by one route, as cell
     texts (None out of domain).  The route is resolved, and an unknown
     pattern set or an oversized n_max refused, before any work."""
     sizes = range(n_max + 1)
     if method == "formula":
-        f = formula_for_patterns(ps)
-        if f is None:
-            raise UsageError(f"no closed form is registered for {{{ps.canonical()}}}")
-        rows = ([evaluate(f.formula_id, n, k) for k in range(n + 1)] for n in sizes)
+        fid = _formula_id(ps)
+        rows = ([evaluate(fid, n, k) for k in range(n + 1)] for n in sizes)
     elif method == "generator":
         if generators.family_for(ps) is None:
             raise UsageError(
@@ -162,7 +167,7 @@ def _rows(ps: PatternSet, n_max: int, method: str, cap: int | None) -> list[list
     else:
         cap = _oracle_cap(cap, n_max)
         rows = (refined_count(n, ps, cap=cap) for n in sizes)
-    return [[cell_text(v) for v in row] for row in rows]
+    return [row_text(row) for row in rows]
 
 
 def _cmd_table(args) -> int:
@@ -187,15 +192,17 @@ def _cmd_sequence(args) -> int:
     ps = _parse_patterns(args.patterns)
     k = args.k
     if args.method == "gf":
-        # A column is the natural unit of the series: one expansion per k.
         if ps != PatternSet.parse("231,321"):
             raise UsageError('the gf method only covers --patterns "231,321"')
         values = [str(c) for c in series_coefficients(gf_for_k(k), args.n_max)]
+    elif args.method == "formula":
+        # One cell per size: 0 past the diagonal, or out of domain.
+        fid = _formula_id(ps)
+        values = [cell_text(evaluate(fid, n, k)) for n in range(args.n_max + 1)]
     else:
-        # Cells past the diagonal are 0, unless the whole row is out of
-        # domain (a formula below its stated minimum size).
+        # Cells past the diagonal are 0.
         values = [
-            row[k] if k < len(row) else (None if row[0] is None else "0")
+            row[k] if k < len(row) else "0"
             for row in _rows(ps, args.n_max, args.method, args.cap)
         ]
     _emit(args.format, {
@@ -324,12 +331,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
-    except CapExceeded as exc:
+    except (CapExceeded, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_CAP if isinstance(exc, CapExceeded) else EXIT_USAGE
 
 
 if __name__ == "__main__":

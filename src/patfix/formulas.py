@@ -2,9 +2,9 @@
 
 Each formula is registered under a stable identifier ("thm-231-312")
 together with the pattern set it counts and the smallest size it is
-stated for.  Evaluation is exact: intermediate values are rationals, and
-a division that fails to reduce to an integer is reported as
-``Undefined.NON_INTEGRAL`` instead of being rounded.  A formula is
+stated for.  Evaluation is exact: a division is an int when exact, else
+a rational, and a value that fails to reduce to an integer is reported
+as ``Undefined.NON_INTEGRAL`` instead of being rounded.  A formula is
 transcribed as printed even where the brute-force oracle disagrees; the
 audit module reports such verdicts without changing the registry (see
 DISCREPANCIES.md).
@@ -39,6 +39,7 @@ __all__ = [
     "get_formula",
     "jacobsthal",
     "recurrence_check",
+    "row_text",
     "sum_identity",
 ]
 
@@ -61,6 +62,17 @@ def cell_text(value: EvalValue) -> str | None:
     if value is Undefined.OUT_OF_DOMAIN:
         return None
     return "non-integral" if value is Undefined.NON_INTEGRAL else str(value)
+
+
+def row_text(row) -> list[str | None]:
+    """:func:`cell_text` of each value of a row; at once for all ints.
+
+    >>> row_text([1, Undefined.NON_INTEGRAL, Undefined.OUT_OF_DOMAIN])
+    ['1', 'non-integral', None]
+    """
+    if set(map(type, row)) <= {int}:
+        return list(map(str, row))
+    return [cell_text(v) for v in row]
 
 
 @lru_cache(maxsize=None)
@@ -90,15 +102,15 @@ def jacobsthal(n: int) -> int:
 
 
 def _as_int(value: Union[int, Fraction]) -> EvalValue:
-    # Most cells are plain ints, and an exact type test is far cheaper
-    # than isinstance against Fraction, whose metaclass is ABCMeta.
-    if type(value) is int:
-        return value
     if isinstance(value, Fraction):
-        if value.denominator != 1:
-            return Undefined.NON_INTEGRAL
-        return int(value)
+        return int(value) if value.denominator == 1 else Undefined.NON_INTEGRAL
     return value
+
+
+def _ratio(a: int, b: int) -> int | Fraction:
+    """a / b exactly: an int when b divides a, else a Fraction."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
 
 
 def _finite(*rows: tuple[int, ...]) -> Callable[[int, int], int]:
@@ -124,54 +136,54 @@ def _eval_123_132(n: int, k: int):
     if k == 2:
         if odd:
             return 0
-        return Fraction(4 ** (half - 1) + 2, 3)
+        return _ratio(4 ** (half - 1) + 2, 3)
     if k == 1:
         if odd:
-            return Fraction(4**half + 2, 3)
-        return Fraction(2 * (4 ** (half - 1) - 1), 3)
+            return _ratio(4**half + 2, 3)
+        return _ratio(2 * (4 ** (half - 1) - 1), 3)
     if odd:
-        return Fraction(2 * (4**half - 1), 3)
+        return _ratio(2 * (4**half - 1), 3)
     return 4 ** (half - 1)
 
 
-def _pair_123_231_two_fixed(n: int) -> Fraction:
+def _pair_123_231_two_fixed(n: int) -> int | Fraction:
     r = n % 6
     if r == 0:
-        return Fraction(n * (n - 6), 24) + Fraction(n, 2)
+        return _ratio(n * (n - 6), 24) + _ratio(n, 2)
     if r in (1, 5):
-        return Fraction((n - 1) * (n + 1), 24)
+        return _ratio((n - 1) * (n + 1), 24)
     if r in (2, 4):
-        return Fraction((n - 4) * (n - 2), 24) + Fraction(n, 2)
-    return Fraction((n - 3) * (n + 3), 24)
+        return _ratio((n - 4) * (n - 2), 24) + _ratio(n, 2)
+    return _ratio((n - 3) * (n + 3), 24)
 
 
-def _pair_123_231_one_fixed(n: int) -> Fraction:
+def _pair_123_231_one_fixed(n: int) -> int | Fraction:
     r = n % 6
     if r == 0:
-        return Fraction(n * (n - 6), 12) + 6 * comb((n + 6) // 6, 2)
+        return _ratio(n * (n - 6), 12) + 6 * comb((n + 6) // 6, 2)
     if r == 1:
         return (
-            Fraction((n - 3) * (n - 1), 8)
-            + Fraction((n - 7) * (n - 1), 12)
+            _ratio((n - 3) * (n - 1), 8)
+            + _ratio((n - 7) * (n - 1), 12)
             + 6 * comb((n + 5) // 6, 2)
-            + Fraction(n + 2, 3)
+            + _ratio(n + 2, 3)
         )
     if r == 2:
-        return Fraction(n * (n - 2), 12) + 6 * comb((n + 4) // 6, 2)
+        return _ratio(n * (n - 2), 12) + 6 * comb((n + 4) // 6, 2)
     if r == 3:
         return (
-            Fraction((n - 3) * (n - 1), 8)
-            + Fraction((n - 5) * (n - 3), 12)
+            _ratio((n - 3) * (n - 1), 8)
+            + _ratio((n - 5) * (n - 3), 12)
             + 6 * comb((n + 3) // 6, 2)
-            + Fraction(2 * n + 3, 3)
+            + _ratio(2 * n + 3, 3)
         )
     if r == 4:
-        return Fraction((n - 12) * (n + 2), 12) + 6 * comb((n + 8) // 6, 2)
+        return _ratio((n - 12) * (n + 2), 12) + 6 * comb((n + 8) // 6, 2)
     return (
-        Fraction((n - 3) * (n - 1), 8)
-        + Fraction((n - 5) * (n - 3), 12)
+        _ratio((n - 3) * (n - 1), 8)
+        + _ratio((n - 5) * (n - 3), 12)
         + 6 * comb((n + 1) // 6, 2)
-        + Fraction(n)
+        + n
     )
 
 
@@ -193,8 +205,8 @@ def _eval_213_132(n: int, k: int):
     half, odd = divmod(n, 2)
     if k == 0:
         if odd:
-            return Fraction(2 * (4**half - 1), 3)
-        return Fraction(5 * 4 ** (half - 1) - 2, 3)
+            return _ratio(2 * (4**half - 1), 3)
+        return _ratio(5 * 4 ** (half - 1) - 2, 3)
     if k % 2 != odd:
         return 0
     return 4 ** ((n - k) // 2 - 1)
@@ -209,8 +221,8 @@ def _eval_132_231(n: int, k: int):
     if k == n - 1:
         return 0
     if k == 0:
-        return Fraction(2 ** (n - 1) + (-1) ** n, 3)
-    return Fraction(2 * (2 ** (n - k) + (-1) ** (n - k + 1)), 3)
+        return _ratio(2 ** (n - 1) + (-1) ** n, 3)
+    return _ratio(2 * (2 ** (n - k) + (-1) ** (n - k + 1)), 3)
 
 
 def _eval_132_321(n: int, k: int):
@@ -227,22 +239,21 @@ def _eval_231_312(n: int, k: int):
     e = (n - k - 2) // 2
     if e >= 0:
         return binoms * 2**e
-    return Fraction(binoms, 2**-e)
+    return _ratio(binoms, 2**-e)
 
 
 #: k -> the coefficients of gf_for_k(k) expanded so far, for the life of
-#: the process.  An entry is only ever replaced whole by a complete
-#: tuple, so a reader in any thread sees an old or a new column and
-#: needs no lock; two threads that regrow one column at once each expand
-#: it, and the later write wins.
+#: the process.  A column is continued from its terms, never expanded
+#: again, and only replaced whole by a complete tuple, so readers need no
+#: lock; of two threads extending one column, the later write wins.
 _SERIES_COLUMNS: dict[int, tuple[int, ...]] = {}
 
 
 def _eval_231_321(n: int, k: int):
     col = _SERIES_COLUMNS.get(k, ())
     if n >= len(col):
-        # Regrow geometrically: O(log n) expansions per column.
-        col = tuple(series_coefficients(gf_for_k(k), max(n, 2 * len(col))))
+        # Double the terms past x^k, where the column starts.
+        col = tuple(series_coefficients(gf_for_k(k), max(n, 2 * len(col) - k), prefix=col))
         _SERIES_COLUMNS[k] = col
     return col[n]
 
@@ -389,10 +400,7 @@ def get_formula(formula_id: str) -> Formula:
 def formula_for_patterns(patterns) -> Formula | None:
     """The formula counting ``patterns``, if one is registered."""
     pats = PatternSet(patterns)
-    for f in REGISTRY.values():
-        if f.patterns == pats:
-            return f
-    return None
+    return next((f for f in REGISTRY.values() if f.patterns == pats), None)
 
 
 def evaluate(formula_id: str, n: int, k: int) -> EvalValue:
@@ -403,12 +411,13 @@ def evaluate(formula_id: str, n: int, k: int) -> EvalValue:
     ``Undefined.NON_INTEGRAL`` if exact evaluation fails to produce an
     integer, which would indicate a transcription bug.
     """
-    f = get_formula(formula_id)
+    f = REGISTRY.get(formula_id) or get_formula(formula_id)
     if n < f.min_n:
         return Undefined.OUT_OF_DOMAIN
     if k < 0 or k > n:
         return 0
-    return _as_int(f.fn(n, k))
+    value = f.fn(n, k)
+    return value if type(value) is int else _as_int(value)
 
 
 # ---------------------------------------------------------------------------

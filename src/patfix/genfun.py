@@ -122,21 +122,28 @@ def gf_for_k(k: int) -> RationalGF:
     return RationalGF(num, den)
 
 
-def series_coefficients(gf: RationalGF, m: int) -> list[int]:
-    """First m+1 Maclaurin coefficients of ``gf`` by exact long division.
+def series_coefficients(gf: RationalGF, m: int, prefix: Sequence[int] = ()) -> list[int]:
+    """First m+1 Maclaurin coefficients of ``gf`` by exact long division,
+    continued after ``prefix``, the coefficients already known.
 
-    The division runs in integers.  A step whose division leaves a
-    remainder yields the first non-integer coefficient and raises; that
+    It runs in integers from the numerator's lowest term on; a step that
+    leaves a remainder yields a non-integer coefficient and raises, which
     cannot happen when the denominator's constant term is +-1.
+
+    >>> gf = gf_for_k(2)
+    >>> series_coefficients(gf, 9, prefix=series_coefficients(gf, 4)) == series_coefficients(gf, 9)
+    True
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     num, den = gf.numerator, gf.denominator
     d0 = den[0]
-    series: list[int] = []
-    for i in range(m + 1):
+    low = next((i for i, c in enumerate(num) if c), m + 1)
+    series = list(prefix[:m + 1])
+    series += [0] * (min(low, m + 1) - len(series))
+    for i in range(len(series), m + 1):
         acc = num[i] if i < len(num) else 0
-        for j in range(1, min(i, len(den) - 1) + 1):
+        for j in range(1, min(i - low, len(den) - 1) + 1):
             acc -= den[j] * series[i - j]
         coeff, rem = divmod(acc, d0)
         if rem:

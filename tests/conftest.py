@@ -76,6 +76,39 @@ def lexsort_distinct(rows: np.ndarray) -> np.ndarray:
     return rows[keep]
 
 
+def packed_sorted_distinct(rows: np.ndarray) -> np.ndarray:
+    """``rows`` in lexicographic order, each once: each row packed into
+    as few int64 words as hold it (``max(1, (n-1).bit_length())`` bits
+    an entry, first entry highest), one ``np.lexsort`` of the words, and
+    a comparison of each word with the row before's."""
+    n = rows.shape[1]
+    if n == 0:
+        return rows[:1]
+    bits = max(1, (n - 1).bit_length())
+    per_word = 63 // bits
+    words = []
+    for start in range(0, n, per_word):
+        word = np.zeros(len(rows), dtype=np.int64)
+        for j in range(start, min(n, start + per_word)):
+            word <<= bits
+            word |= rows[:, j]
+        words.append(word)
+    order = np.lexsort(words[::-1])
+    keep = np.zeros(len(order), dtype=bool)
+    keep[:1] = True
+    for word in words:
+        word = word[order]
+        keep[1:] |= word[1:] != word[:-1]
+    return rows[order[keep]]
+
+
+def refined_histogram(rows: np.ndarray) -> list[int]:
+    """Fixed-point histogram of the distinct rows of ``rows``, indexed
+    k = 0..n: the packed-word normaliser, then one column at a time."""
+    n = rows.shape[1]
+    return np.bincount(oracle.fixed_points(packed_sorted_distinct(rows)), minlength=n + 1).tolist()
+
+
 def orbit_by_closure(patterns) -> tuple:
     """The orbit of {patterns} as a sorted tuple, closed under
     elementwise inverse and reverse-complement by a breadth-first

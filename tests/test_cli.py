@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from patfix import cli, generators, oracle
+from patfix import cli, formulas, generators, oracle
+from patfix.formulas import REGISTRY
 from patfix.cli import main
 
 # One above the oracle's default cap: refused unless a cap is given.
@@ -62,6 +63,25 @@ def test_cli_output_digest(capsys, monkeypatch):
         digest.update(json.dumps([argv, code, out]).encode() + b"\n")
     assert len(commands) == 122
     assert digest.hexdigest() == CLI_DIGEST
+
+
+# sha256 over the stdout of ``table --method formula --n-max 60`` for
+# every registered closed form, in registry order, per format.
+FORMULA_TABLE_DIGESTS = {
+    "plain": "9c9a5a5c3cf8beb58b842184d786c4a17469ee4c708ee1f4194765da4422df20",
+    "json": "23d1748e15791e4c4b37167a7e2da0de6e1e82ee8ac74d70b20ee43fba44f9ce",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMULA_TABLE_DIGESTS))
+def test_formula_tables_to_60(capsys, fmt):
+    digest = hashlib.sha256()
+    for f in REGISTRY.values():
+        code, out, _ = run(capsys, "table", "--patterns", f.patterns.canonical(),
+                           "--method", "formula", "--n-max", "60", "--format", fmt)
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == FORMULA_TABLE_DIGESTS[fmt]
 
 
 class TestTable:
@@ -189,6 +209,29 @@ class TestSequence:
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0
         assert json.loads(out)["values"] == [None, None, None, "0", "0", "1", "0", "2"]
+
+
+    @pytest.mark.parametrize("fid", list(REGISTRY))
+    def test_formula_column_is_the_tables(self, capsys, monkeypatch, fid):
+        # The column is read cell by cell, one evaluation per size; a
+        # cell past the diagonal is 0, or out of domain when its whole
+        # row is.
+        patterns, n_max = REGISTRY[fid].patterns.canonical(), 8
+        code, out, _ = run(capsys, "table", "--patterns", patterns, "--method", "formula",
+                           "--n-max", str(n_max), "--format", "json")
+        assert code == 0
+        rows = [r["counts"] for r in json.loads(out)["rows"]]
+        calls = []
+        monkeypatch.setattr(cli, "evaluate", lambda *a: calls.append(a) or formulas.evaluate(*a))
+        for k in range(n_max + 3):
+            calls.clear()
+            code, out, _ = run(capsys, "sequence", "--patterns", patterns, "--method", "formula",
+                               "--k", str(k), "--n-max", str(n_max), "--format", "json")
+            assert code == 0
+            assert json.loads(out)["values"] == [
+                row[k] if k < len(row) else (None if row[0] is None else "0") for row in rows
+            ]
+            assert len(calls) == n_max + 1
 
 
 class TestVerify:

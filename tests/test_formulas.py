@@ -3,6 +3,7 @@ import sys
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from patfix import formulas
@@ -11,6 +12,8 @@ from patfix.formulas import (
     RECURRENCES,
     Undefined,
     _as_int,
+    _ratio,
+    cell_text,
     evaluate,
     fibonacci,
     formula_for_patterns,
@@ -18,6 +21,7 @@ from patfix.formulas import (
     get_formula,
     jacobsthal,
     recurrence_check,
+    row_text,
     sum_identity,
 )
 from patfix.genfun import gf_for_k, series_coefficients
@@ -224,17 +228,27 @@ class TestSeriesColumns:
             assert list(col) == series_coefficients(gf_for_k(k), len(col) - 1), k
 
     def test_about_one_expansion_per_column(self, cold_columns, monkeypatch, capsys):
-        calls = []
+        # Each call continues a column from the terms it holds, so the
+        # new terms over all calls are exactly the terms stored: no
+        # coefficient is computed twice.
+        new_terms = []
 
-        def counting(gf, m):
-            calls.append(m)
-            return series_coefficients(gf, m)
+        def counting(gf, m, prefix=()):
+            new_terms.append(m + 1 - len(prefix))
+            return series_coefficients(gf, m, prefix=prefix)
 
         monkeypatch.setattr(formulas, "series_coefficients", counting)
         argv = ["table", "--patterns", "231,321", "--method", "formula", "--n-max", "40"]
         assert main(argv) == 0
         assert capsys.readouterr().out
-        assert len(calls) <= 41 * 7
+        assert sorted(cold_columns) == list(range(41))
+        assert min(new_terms) > 0
+        assert sum(new_terms) == sum(len(col) for col in cold_columns.values())
+        assert len(new_terms) <= 41 * 7
+        # Column k starts at x^k and doubles its terms from there, so it
+        # holds fewer than twice the terms the table reads from it.
+        for k, col in cold_columns.items():
+            assert len(col) - k <= 2 * (41 - k), k
 
     def test_rows_satisfy_sum_identity_and_recurrence(self, cold_columns):
         rec = RECURRENCES["thm-231-321"]
@@ -257,6 +271,27 @@ class TestExactness:
         assert _as_int(Fraction(3, 2)) is Undefined.NON_INTEGRAL
         assert _as_int(Fraction(4, 2)) == 2
         assert _as_int(7) == 7
+
+    def test_ratio_is_the_exact_quotient(self):
+        for a in range(-50, 51):
+            for b in (1, 2, 3, 4, 8, 12, 24):
+                q = _ratio(a, b)
+                assert q == Fraction(a, b)
+                assert type(q) is (Fraction if a % b else int)
+                assert _as_int(q) == (Undefined.NON_INTEGRAL if a % b else a // b)
+
+    def test_row_text_is_cell_text_per_value(self):
+        rows = [
+            [0, 1, 10**40, -3],
+            [Undefined.OUT_OF_DOMAIN] * 3,
+            [Undefined.OUT_OF_DOMAIN, 0, 2],
+            [5, Undefined.NON_INTEGRAL, 7],
+            [np.int64(5), np.uint8(200), 3],
+            [np.int16(-1)],
+            [],
+        ]
+        for row in rows:
+            assert row_text(row) == [cell_text(v) for v in row], row
 
     def test_special_half_power_case(self):
         # At k = n the two-power exponent is -1; the rationals must

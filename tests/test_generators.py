@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import lexsort_distinct
+from conftest import lexsort_distinct, refined_histogram
 
 from patfix import generators
 from patfix.formulas import evaluate, formula_ids, get_formula
@@ -18,7 +18,7 @@ from patfix.generators import (
     generate_rows,
     supported_families,
 )
-from patfix.oracle import CapExceeded, enumerate_avoiders, refined_count
+from patfix.oracle import CapExceeded, enumerate_avoiders, fixed_points, refined_count
 from patfix.perms import PatternSet, Permutation
 
 FAMILIES = [fam.patterns.canonical() for fam in supported_families()]
@@ -139,16 +139,19 @@ class TestDeterminism:
 class TestNormaliser:
     """The packed-key sort against one ``np.lexsort`` over the columns,
     on each family's rows as built: unsorted, and repeated where a
-    printed family repeats a member."""
+    printed family repeats a member.  The fixed points read from the
+    keys are checked against the rows'."""
 
     @staticmethod
     def check(rows):
         want = lexsort_distinct(rows)
         shuffled = rows[np.random.default_rng(len(rows)).permutation(len(rows))]
         for block in (rows, shuffled):
-            got = generators._sorted_distinct(block)
+            members, keys = generators._distinct(block)
+            got = block[members]
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+            assert np.array_equal(generators._fixed_points(keys, rows.shape[1]), fixed_points(want))
 
     @pytest.mark.parametrize("patterns", FAMILIES)
     def test_every_family_to_the_cap(self, patterns):
@@ -157,7 +160,7 @@ class TestNormaliser:
 
     @pytest.mark.parametrize("patterns", ["132,321", "132,231,321", "132,213,321"])
     def test_rows_past_one_word(self, patterns):
-        # One word holds 15 entries of 4 bits; from n = 16 on a row takes
+        # One word holds 14 entries of 4 bits; from n = 15 on a row takes
         # two words and more, and from n = 17 on an entry takes 5 bits.
         for n in (15, 16, 17, 31):
             self.check(family_for(patterns).build(n))
@@ -170,6 +173,46 @@ class TestNormaliser:
     def test_no_rows(self):
         for n in (1, 5, 17):
             self.check(np.zeros((0, n), dtype=np.int16))
+
+
+def built(patterns, n):
+    """A family's rows of size n as built, the empty row at n = 0."""
+    return family_for(patterns).build(n) if n else np.zeros((1, 0), dtype=np.int16)
+
+
+class TestRefinedFromKeys:
+    """``generate_refined`` counts fixed points from the members' keys;
+    the reference sorts the rows by packed words and counts them one
+    column at a time."""
+
+    @pytest.mark.parametrize("patterns", FAMILIES)
+    def test_every_family_to_15(self, patterns):
+        for n in range(16):
+            assert generate_refined(patterns, n, cap=15) == refined_histogram(built(patterns, n))
+
+    def test_a_recursive_family_past_15(self):
+        for n in (16, 17):
+            got = generate_refined("231,312,321", n, cap=n)
+            assert got == refined_histogram(built("231,312,321", n))
+
+    def test_long_rotations(self):
+        rows = built("132,213,321", 130)
+        assert generate_refined("132,213,321", 130, cap=130) == refined_histogram(rows)
+
+    @pytest.mark.parametrize("n", [*range(1, 21), 31, 32, 64, 130])
+    def test_fixed_points_in_every_layout(self, n):
+        # Row r moves each position with probability r/64, so the first
+        # row is the identity, whose key matches the identity's in every
+        # used field, and the fixed-point counts spread from n down.
+        rng = np.random.default_rng(n)
+        rows = np.tile(np.arange(n, dtype=np.int16), (64, 1))
+        for r, row in enumerate(rows):
+            moved = np.flatnonzero(rng.random(n) < r / 64)
+            row[moved] = rng.permutation(moved)
+        members, keys = generators._distinct(rows)
+        got = generators._fixed_points(keys, n)
+        assert got.tolist() == (rows[members] == np.arange(n)).sum(axis=1).tolist()
+        assert got.max() == n
 
 
 class TestGrowMemo:
