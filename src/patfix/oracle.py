@@ -28,6 +28,19 @@ is first asked for, so the table of the largest size asked for is never
 built and each size is built once per process, whatever the cap.  One
 caller builds the missing sizes under one lock while the others wait.
 
+A size's rows are built only when something asks for them: a listing
+of its avoiders, or the next size.  A size whose counts are asked for
+first is counted from the rows, masks and start table of the size below.
+A candidate's fixed points follow from its parent row and its first
+entry v: it has one at position 0 iff v = 0, and one at position j + 1
+iff the parent's entry j is j with j >= v, or is j + 1 with j <= v - 2.
+So one running count per parent row, moved from v - 1 to v by two of its
+columns, gives the fixed points of every candidate, and the kept
+candidates give the histogram that the rows would.  A counts-only query
+up to size n thus keeps rows up to size n - 1 only.  A size counted this
+way keeps its counts when its rows are built later; a size whose rows
+are built first is counted from them.
+
 Counts are plain Python integers end to end; numpy is used only to
 process the rows quickly.
 """
@@ -141,21 +154,20 @@ def fixed_points(rows: np.ndarray) -> np.ndarray:
     return fixed
 
 
-# Rows per fixed-point count and bincount: about n numpy calls a size.
-_CHUNK = 1 << 17
+# Rows per fixed-point count and bincount.  A chunk of rows and of its
+# start table fits in a core's cache, so reading it column by column,
+# once per first entry v, fetches it from memory once.
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
 class _Sweep:
     """The permutations of S_n that avoid some length-3 pattern, as
     lexicographically sorted 0-based rows with their per-row pattern
-    masks, and every pattern set's refined counts: entry [T][k] is the
-    number of rows with k fixed points whose mask shares no bit with the
-    pattern mask T, as a Python int.  Never changed once built."""
+    masks.  Never changed once built."""
 
     rows: np.ndarray
     masks: np.ndarray
-    counts: list[list[int]]
 
 
 def _run_sweep(n: int, prev: _Sweep | None, prev_table: np.ndarray) -> _Sweep:
@@ -183,18 +195,58 @@ def _run_sweep(n: int, prev: _Sweep | None, prev_table: np.ndarray) -> _Sweep:
         del tail
         candidates.take(keep, out=masks[part])
     rows.flags.writeable = masks.flags.writeable = False
-    # One (mask, fixed points) histogram.  A count is at most 15! < 2**63.
+    return _Sweep(rows, masks)
+
+
+def _row_histogram(sweep: _Sweep) -> np.ndarray:
+    """The (mask, fixed points) histogram of a built size, indexed by
+    mask * 16 + fixed points.  A count is at most 15! < 2**63."""
     histogram = np.zeros(64 * 16, dtype=np.int64)
-    for start in range(0, len(rows), _CHUNK):
+    for start in range(0, len(sweep.rows), _CHUNK):
         part = slice(start, start + _CHUNK)
-        key = (masks[part].astype(np.uint16) << 4) | fixed_points(rows[part])
+        key = (sweep.masks[part].astype(np.uint16) << 4) | fixed_points(sweep.rows[part])
         histogram += np.bincount(key, minlength=64 * 16)
+    return histogram
+
+
+def _histogram_from_below(n: int, prev: _Sweep, prev_table: np.ndarray) -> np.ndarray:
+    """The histogram of size n, as :func:`_row_histogram` gives it, from
+    size n-1 and its start table without building the rows of size n.
+    Candidate v of a row r (r's entries >= v raised, v put first) has a
+    fixed point at position 0 iff v = 0, and at position j + 1 iff
+    r[j] = j with j >= v or r[j] = j + 1 with j <= v - 2."""
+    histogram = np.zeros(64 * 16, dtype=np.int64)
+    for start in range(0, len(prev.rows), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        rows, masks, table = prev.rows[part], prev.masks[part], prev_table[part]
+        fixed = fixed_points(rows) + 1  # candidate 0
+        for v in range(n):
+            if v:
+                # From candidate v - 1 to v, position v stops being fixed
+                # where r[v-1] = v - 1, and position v - 1 starts where
+                # r[v-2] = v - 1 (position 0 stops, at v = 1).
+                fixed -= rows[:, v - 1] == v - 1
+                if v > 1:
+                    fixed += rows[:, v - 2] == v - 1
+                else:
+                    fixed -= 1
+            key = ((masks | table[:, v]).astype(np.uint16) << 4) | fixed
+            histogram += np.bincount(key, minlength=64 * 16)
+    # The candidates that contain all six patterns are not kept.
+    histogram[_FULL << 4:] = 0
+    return histogram
+
+
+def _count_table(histogram: np.ndarray, n: int) -> list[list[int]]:
+    """Every pattern set's refined counts at size n: entry [T][k] is the
+    number of kept rows with k fixed points whose mask shares no bit
+    with the pattern mask T, as a Python int."""
     # A cumulative sum along each mask bit's axis makes entry S the sum over
     # the masks within S; those that miss T are within 63 ^ T = 63 - T.
     sums = histogram.reshape((2,) * 6 + (16,))[..., :n + 1]
     for axis in range(6):
         sums = sums.cumsum(axis=axis)
-    return _Sweep(rows, masks, sums.reshape(64, n + 1)[::-1].tolist())
+    return sums.reshape(64, n + 1)[::-1].tolist()
 
 
 def _start_table(prev: _Sweep, prev_table: np.ndarray, size: int) -> np.ndarray:
@@ -220,10 +272,33 @@ def _start_table(prev: _Sweep, prev_table: np.ndarray, size: int) -> np.ndarray:
 _build_lock = threading.Lock()
 # The start table of size 0: no w starts a pattern in the empty row.
 _EMPTY_TABLE = np.zeros((1, 1), dtype=np.uint8)
-# Sizes 0..m, replaced whole and never changed once published, and the
-# start table of size m - 1 (size 0 until size 2 is built).
+# The rows of sizes 0..m and the count tables of sizes 0..m or 0..m + 1,
+# each replaced whole and never changed once published, and the start
+# table of size m - 1 or, once size m + 1 is counted, of size m.
 _built: tuple[_Sweep, ...] = ()
+_counts: tuple[list[list[int]], ...] = ()
 _frontier: np.ndarray = _EMPTY_TABLE
+
+
+def _grow(n: int, rows: bool) -> None:
+    """Under the build lock: count size n and, if ``rows`` (or n = 0),
+    build its rows; build the rows of every smaller size not yet built.
+    A size built after it was counted keeps its counts."""
+    global _built, _counts, _frontier
+    built, counts, table = _built, _counts, _frontier
+    for m in range(len(built), n + 1):
+        # Size m reads the table of size m - 1.  Its width gives its
+        # size, which a build that raised may have left one ahead.
+        if table.shape[1] < m:
+            _frontier = table = _start_table(built[m - 2], table, len(built[m - 1].rows))
+        if m == n and m and not rows:
+            if m == len(counts):
+                _counts = counts + (_count_table(_histogram_from_below(m, built[-1], table), m),)
+            return
+        sweep = _run_sweep(m, built[-1] if built else None, table)
+        if m == len(counts):
+            _counts = counts = counts + (_count_table(_row_histogram(sweep), m),)
+        _built = built = built + (sweep,)
 
 
 def _sweep(n: int) -> _Sweep:
@@ -231,19 +306,25 @@ def _sweep(n: int) -> _Sweep:
     without a lock.  Otherwise the first caller builds the missing sizes
     under the build lock while later callers wait.  The start table of
     size n is built only once size n + 1 is asked for."""
-    global _built, _frontier
     built = _built
     if n < len(built):
         return built[n]
     with _build_lock:
-        built, table = _built, _frontier
-        for m in range(len(built), n + 1):
-            # Size m reads the table of size m - 1.  Its width gives its
-            # size, which a build that raised may have left one ahead.
-            if table.shape[1] < m:
-                _frontier = table = _start_table(built[m - 2], table, len(built[m - 1].rows))
-            _built = built = built + (_run_sweep(m, built[-1] if built else None, table),)
-        return built[n]
+        _grow(n, rows=True)
+        return _built[n]
+
+
+def _counted(n: int) -> list[list[int]]:
+    """The count table of size n, read without a lock once it exists.
+    Otherwise the first caller counts it under the build lock from the
+    size below, building the rows of the smaller sizes first if need
+    be, while later callers wait."""
+    counts = _counts
+    if n < len(counts):
+        return counts[n]
+    with _build_lock:
+        _grow(n, rows=False)
+        return _counts[n]
 
 
 def refined_count(n: int, patterns, *, cap: int | None = None) -> list[int]:
@@ -252,7 +333,7 @@ def refined_count(n: int, patterns, *, cap: int | None = None) -> list[int]:
     points."""
     pats = PatternSet(patterns)
     check_size(n, cap)
-    return list(_sweep(n).counts[pats.mask])
+    return list(_counted(n)[pats.mask])
 
 
 def avoider_rows(n: int, patterns, *, cap: int | None = None) -> np.ndarray:
@@ -303,6 +384,6 @@ def count_table(n_max: int, patterns, *, cap: int | None = None) -> CountTable:
 
 def clear_cache() -> None:
     """Drop all cached enumeration state (mainly for tests)."""
-    global _built, _frontier
+    global _built, _counts, _frontier
     with _build_lock:
-        _built, _frontier = (), _EMPTY_TABLE
+        _built, _counts, _frontier = (), (), _EMPTY_TABLE

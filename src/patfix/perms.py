@@ -164,6 +164,9 @@ ALL_PATTERNS: tuple[Permutation, ...] = tuple(
     Permutation(c) for c in itertools.permutations((1, 2, 3))
 )
 
+#: Each pattern's bit in a containment mask.
+_PATTERN_BIT = {p: 1 << i for i, p in enumerate(ALL_PATTERNS)}
+
 
 class PatternSet(tuple):
     """Between one and six distinct length-3 patterns, sorted.
@@ -207,7 +210,7 @@ class PatternSet(tuple):
     @property
     def mask(self) -> int:
         """Bitmask over :data:`ALL_PATTERNS`."""
-        return sum(1 << ALL_PATTERNS.index(p) for p in self)
+        return sum(map(_PATTERN_BIT.__getitem__, self))
 
     def apply(self, op: str) -> "PatternSet":
         """Apply a symmetry to every member; cardinality is preserved."""

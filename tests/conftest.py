@@ -1,4 +1,5 @@
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -125,18 +126,23 @@ def orbit_by_closure(patterns) -> tuple:
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """Cold oracle caches, and a Counter of the sizes n the oracle builds
-    (calls to ``_run_sweep``).  The sizes cached before the test are put
+    """Cold oracle caches, and Counters of the sizes n for which the
+    oracle builds rows (``rows``: calls to ``_run_sweep``), builds a
+    count table by either path (``counted``: calls to ``_count_table``)
+    and counts from the size below (``below``: calls to
+    ``_histogram_from_below``).  The sizes cached before the test are put
     back afterwards, so later tests do not pay for them again."""
-    calls = Counter()
-    real = oracle._run_sweep
+    calls = SimpleNamespace(rows=Counter(), counted=Counter(), below=Counter())
+    # Each function with the position of its size argument.
+    for name, counter, at in (("_run_sweep", calls.rows, 0),
+                              ("_count_table", calls.counted, 1),
+                              ("_histogram_from_below", calls.below, 0)):
+        def counting(*args, real=getattr(oracle, name), counter=counter, at=at):
+            counter[args[at]] += 1
+            return real(*args)
 
-    def counting(n, *args):
-        calls[n] += 1
-        return real(n, *args)
-
-    warm = oracle._built, oracle._frontier
+        monkeypatch.setattr(oracle, name, counting)
+    warm = oracle._built, oracle._counts, oracle._frontier
     oracle.clear_cache()
-    monkeypatch.setattr(oracle, "_run_sweep", counting)
     yield calls
-    oracle._built, oracle._frontier = warm
+    oracle._built, oracle._counts, oracle._frontier = warm

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -372,7 +373,7 @@ class TestFailFast:
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert "cap" in err and not out
-        assert not sweeps
+        assert not (sweeps.rows or sweeps.counted)
 
     @pytest.mark.parametrize("argv", [
         ["table", "--patterns", "231,321", "--method", "generator", "--n-max", "15"],
@@ -404,7 +405,7 @@ class TestFailFast:
         code, out, err = run(capsys, *argv, "--patterns", "123", "--n-max", "99")
         assert code == 2
         assert message in err and "cap" not in err and not out
-        assert not sweeps
+        assert not (sweeps.rows or sweeps.counted)
 
     @pytest.mark.parametrize("argv, option", [
         (["table", "--patterns", "123", "--n-max", "-1"], "--n-max"),
@@ -419,7 +420,7 @@ class TestFailFast:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert f"{option} must be nonnegative" in err and not out
-        assert not sweeps
+        assert not (sweeps.rows or sweeps.counted)
 
     @pytest.mark.parametrize("argv, option", [
         (["classes", "--size", "1", "--n-max", "3"], "--n-max"),
@@ -429,7 +430,7 @@ class TestFailFast:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert f"{option} applies only to --mode superwilf" in err and not out
-        assert not sweeps
+        assert not (sweeps.rows or sweeps.counted)
 
     @pytest.mark.parametrize("argv", [
         ["table", "--method", "formula", "--n-max", "3"],
@@ -440,7 +441,7 @@ class TestFailFast:
         code, out, err = run(capsys, *argv, "--patterns", "231,321", "--cap", "1")
         assert code == 2
         assert "--cap applies only to --method oracle and generator" in err and not out
-        assert not sweeps
+        assert not (sweeps.rows or sweeps.counted)
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--formula", "thm-231-312"],
@@ -465,6 +466,50 @@ class TestFailFast:
         monkeypatch.setattr(cli, "refined_count", broken)
         with pytest.raises(ValueError, match="internal fault"):
             main(["table", "--patterns", "123", "--n-max", "3"])
+
+
+# sha256 of (exit code, stdout) of commands that read the oracle at its
+# default cap, recorded when every size asked for had its rows built.
+DEEP_DIGESTS = [
+    (["table", "--patterns", "132,231", "--n-max", "13"], 0,
+     "7e53e5725de8b370fc348bdcab2e21eac3e3b0643d9de418acb71dd0997a3ffe"),
+    (["table", "--patterns", "132", "--n-max", "13", "--format", "json"], 0,
+     "8f3a7d1eafe7fd0f44047d71154f991a7f2210ce1ad602db8c6c76b9a9491210"),
+    (["classes", "--mode", "superwilf", "--size", "2", "--n-max", "12"], 0,
+     "c90f3b9ddfa0f373a2defa75365187f827401517fec1e12829172ba9f8c02233"),
+    (["verify", "--all", "--n-max", "11", "--format", "json"], 1,
+     "c853c8ce620de2b2064f85291132b7c06b9d19d5fa17a17d9e3836a79c0cfbb2"),
+]
+
+
+class TestDeepOutputs:
+    @pytest.mark.parametrize("argv, code, digest", DEEP_DIGESTS,
+                             ids=["table-13", "table-13-json", "superwilf-12", "verify-11"])
+    def test_output_is_pinned(self, capsys, monkeypatch, argv, code, digest):
+        monkeypatch.delenv(oracle.CAP_ENV_VAR, raising=False)
+        got, out, _ = run(capsys, *argv)
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_counts_at_the_cap_keep_no_rows_of_the_largest_size(self):
+        # The command's own peak (Linux ru_maxrss, in KiB) was 154 MB while
+        # the rows of size 13, which no count reads, were built.  A child
+        # inherits the peak of the process it is started from, so a small
+        # interpreter starts it and reads its peak with os.wait4.
+        env = {k: v for k, v in os.environ.items() if k != oracle.CAP_ENV_VAR}
+        argv = [sys.executable, "-m", "patfix", "table", "--patterns", "132,231", "--n-max", "13"]
+        measure = (
+            "import os, subprocess, sys\n"
+            f"proc = subprocess.Popen({argv!r}, stdout=subprocess.DEVNULL)\n"
+            "_, status, usage = os.wait4(proc.pid, 0)\n"
+            "proc.returncode = os.waitstatus_to_exitcode(status)\n"
+            "print(proc.returncode, usage.ru_maxrss)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", measure], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        code, peak_kib = map(int, out.split())
+        assert code == 0
+        assert peak_kib / 1024 < 120
 
 
 class TestEntryPoint:

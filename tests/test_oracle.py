@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import itertools
+import random
 import sys
 import threading
 import time
@@ -17,6 +19,7 @@ from patfix.oracle import (
     DEFAULT_CAP,
     CapExceeded,
     clear_cache,
+    avoider_rows,
     count_table,
     enumerate_avoiders,
     refined_count,
@@ -34,6 +37,19 @@ def naive_refined(n, patterns):
         if p.avoids_all(ps):
             out[p.fixed_point_count()] += 1
     return out
+
+
+ALL_SETS = [PatternSet(combo) for size in range(1, 7)
+            for combo in itertools.combinations(ALL_PATTERNS, size)]
+
+
+@functools.cache
+def contains_masks(n):
+    """The permutations of S_n in lexicographic order, and each one's
+    mask of the patterns it contains, by ``Permutation.contains``."""
+    perms = [Permutation(e) for e in itertools.permutations(range(1, n + 1))]
+    return perms, [sum(1 << i for i, q in enumerate(ALL_PATTERNS) if p.contains(q))
+                   for p in perms]
 
 
 def naive_avoiders(n, patterns):
@@ -172,11 +188,7 @@ class TestSharedSweep:
         ]
         assert len(all_sets) == 63
         for n in range(8):
-            perms = [Permutation(e) for e in itertools.permutations(range(1, n + 1))]
-            bits = [
-                sum(1 << i for i, q in enumerate(ALL_PATTERNS) if p.contains(q))
-                for p in perms
-            ]
+            perms, bits = contains_masks(n)
             for ps in all_sets:
                 expected = [p for p, b in zip(perms, bits) if b & ps.mask == 0]
                 assert list(enumerate_avoiders(n, ps)) == expected, (n, ps)
@@ -201,11 +213,9 @@ class TestSharedSweep:
     def test_cached_rows_are_the_sorted_permutations_missing_some_pattern(self):
         for n in range(8):
             expected_rows, expected_masks = [], []
-            for entries in itertools.permutations(range(n)):
-                p = Permutation([v + 1 for v in entries])
-                bits = sum(1 << i for i, q in enumerate(ALL_PATTERNS) if p.contains(q))
+            for p, bits in zip(*contains_masks(n)):
                 if bits != (1 << 6) - 1:
-                    expected_rows.append(list(entries))
+                    expected_rows.append([v - 1 for v in p])
                     expected_masks.append(bits)
             sweep = oracle._sweep(n)
             assert sweep.rows.tolist() == expected_rows, n
@@ -221,9 +231,10 @@ class TestSharedSweep:
             mask, fixed = chunk_stats(sweep.rows)
             assert np.array_equal(sweep.masks, mask), n
             histogram = Counter(zip(mask.tolist(), fixed.tolist()))
-            assert sweep.counts == [filtered_count(histogram, t, n) for t in range(64)], n
+            counts = oracle._counts[n]
+            assert counts == [filtered_count(histogram, t, n) for t in range(64)], n
             # Python ints, so no numpy integer reaches str() or JSON.
-            assert all(type(c) is int for row in sweep.counts for c in row), n
+            assert all(type(c) is int for row in counts for c in row), n
 
     @pytest.mark.parametrize("n, count, digest", [
         (10, 95_774, "03dcc848705ebf5137d4b23ca9a32c038b2f430b9006873fba247a7387343eb1"),
@@ -241,7 +252,7 @@ class TestSharedSweep:
         h.update(repr(sorted(histogram.items())).encode())
         assert len(sweep.rows) == count
         assert h.hexdigest() == digest
-        assert sweep.counts == [filtered_count(histogram, t, n) for t in range(64)]
+        assert oracle._counts[n] == [filtered_count(histogram, t, n) for t in range(64)]
 
     def test_start_table_matches_the_definition(self, sweeps):
         # Entry [r, w] has bit i iff ALL_PATTERNS[i] occurs on a triple
@@ -263,20 +274,30 @@ class TestSharedSweep:
                 assert np.array_equal(table[:, w], expected), (n, w)
 
     def test_audit_sweeps_each_size_once(self, sweeps):
+        # The audit asks for the rows first, so every size is counted
+        # from its own rows and none from the size below.
         audit_all(9)
-        assert sweeps == Counter({n: 1 for n in range(10)})
+        assert sweeps.rows == Counter({n: 1 for n in range(10)})
+        assert sweeps.counted == Counter({n: 1 for n in range(10)})
+        assert not sweeps.below
 
     def test_counts_and_avoiders_share_one_sweep(self, sweeps):
         for ps in ("123", "132,231", "231,312,321"):
             refined_count(8, ps)
             list(enumerate_avoiders(8, ps))
-        assert sweeps == Counter({n: 1 for n in range(9)})
+        assert sweeps.rows == Counter({n: 1 for n in range(9)})
+        assert sweeps.counted == Counter({n: 1 for n in range(9)})
+        assert sweeps.below == Counter({8: 1})
 
     def test_clear_cache_drops_the_sweep(self, sweeps):
         list(enumerate_avoiders(6, "123"))
         clear_cache()
+        assert oracle._built == oracle._counts == ()
         refined_count(6, "123")
-        assert sweeps == Counter({n: 2 for n in range(7)})
+        # Counts alone for size 6 build rows only up to size 5.
+        assert sweeps.rows == Counter({n: 2 for n in range(6)}) + Counter({6: 1})
+        assert sweeps.counted == Counter({n: 2 for n in range(7)})
+        assert sweeps.below == Counter({6: 1})
 
     def test_single_flight_under_threads(self, sweeps, monkeypatch):
         counting = oracle._run_sweep
@@ -301,25 +322,31 @@ class TestSharedSweep:
                 results = list(pool.map(worker, range(8), timeout=30))
         finally:
             sys.setswitchinterval(interval)
-        assert sweeps == Counter({n: 1 for n in range(8)})
+        assert sweeps.rows == Counter({n: 1 for n in range(8)})
+        assert sweeps.counted == Counter({n: 1 for n in range(8)})
         assert results[::2] == [429] * 4
         assert results[1::2] == [naive_refined(7, "132")] * 4
 
     def test_no_state_is_built_at_the_hard_limit(self, sweeps, monkeypatch):
-        # After size n is built the frontier is the table of size n - 1,
-        # so the table of the largest size asked for is never built.
+        # After size n is built or counted the frontier is the table of
+        # size n - 1, so the table of the largest size asked for is never
+        # built, and counts alone leave that size's rows unbuilt.
         for n in range(1, 7):
             oracle._sweep(n)
             assert oracle._frontier.shape == (len(oracle._built[n - 1].rows), n), n
-        full = oracle._sweep(6)
+        full, full_counts = oracle._sweep(6), oracle._counts[6]
         oracle.clear_cache()
         monkeypatch.setattr(oracle, "_HARD_LIMIT", 6)
         refined_count(6, "123", cap=20)
-        last = oracle._built[6]
+        assert len(oracle._built) == 6 and len(oracle._counts) == 7
+        assert oracle._frontier.shape == (len(oracle._built[5].rows), 6)
+        assert oracle._counts[6] == full_counts
+        last = oracle._sweep(6)
         assert oracle._frontier.shape == (len(oracle._built[5].rows), 6)
         assert np.array_equal(last.rows, full.rows)
         assert np.array_equal(last.masks, full.masks)
-        assert last.counts == full.counts
+        assert sweeps.rows == Counter({n: 2 for n in range(7)})
+        assert sweeps.counted == Counter({n: 2 for n in range(7)})
         with pytest.raises(CapExceeded):
             refined_count(7, "123", cap=20)
 
@@ -329,14 +356,17 @@ class TestSharedSweep:
         refined_count(7, "123")
         assert oracle._frontier.shape == (len(oracle._built[6].rows), 7)
         refined_count(8, "123", cap=8)
-        assert sweeps == Counter({n: 1 for n in range(9)})
-        built = oracle._built
+        assert sweeps.rows == Counter({n: 1 for n in range(8)})
+        assert sweeps.counted == Counter({n: 1 for n in range(9)})
+        assert sweeps.below == Counter({7: 1, 8: 1})
+        built, counts = oracle._built, oracle._counts
         oracle.clear_cache()
         for n, sweep in enumerate(built):
             fresh = oracle._sweep(n)
             assert np.array_equal(sweep.rows, fresh.rows), n
             assert np.array_equal(sweep.masks, fresh.masks), n
-            assert sweep.counts == fresh.counts, n
+        oracle._sweep(8)
+        assert counts == oracle._counts
 
     def test_a_build_that_raised_resumes_where_it_stopped(self, sweeps, monkeypatch):
         counting = oracle._run_sweep
@@ -350,11 +380,13 @@ class TestSharedSweep:
         with pytest.raises(MemoryError):
             refined_count(7, "132")
         # Size 5's table was published before size 6 failed.
-        assert len(oracle._built) == 6
+        assert len(oracle._built) == len(oracle._counts) == 6
         assert oracle._frontier.shape == (len(oracle._built[5].rows), 6)
         monkeypatch.setattr(oracle, "_run_sweep", counting)
         assert refined_count(7, "132") == naive_refined(7, "132")
-        assert sweeps == Counter({n: 1 for n in range(8)})
+        assert sweeps.rows == Counter({n: 1 for n in range(7)})
+        assert sweeps.counted == Counter({n: 1 for n in range(8)})
+        assert sweeps.below == Counter({7: 1})
 
     def test_a_built_size_is_read_without_the_lock(self):
         expected = refined_count(5, "123")
@@ -388,7 +420,10 @@ class TestSharedSweep:
                 results = list(pool.map(worker, range(8), timeout=30))
         finally:
             sys.setswitchinterval(interval)
-        assert sweeps == Counter({n: 1 for n in range(9)})
+        # Which sizes are counted from the size below depends on the order
+        # the threads arrive in; each size is built and counted once.
+        assert sweeps.rows == Counter({n: 1 for n in range(8)})
+        assert sweeps.counted == Counter({n: 1 for n in range(9)})
         assert results == [42, 132, 429, 1430] * 2
 
     def test_cap_refused_before_any_sweep(self, sweeps):
@@ -399,4 +434,102 @@ class TestSharedSweep:
         assert exc.value.cap == 15
         with pytest.raises(CapExceeded):
             next(enumerate_avoiders(DEFAULT_CAP + 1, "123"))
-        assert not sweeps
+        assert not (sweeps.rows or sweeps.counted)
+
+
+class TestCountFromBelow:
+    def test_counts_from_below_equal_counts_from_rows(self, sweeps):
+        # All 64 rows of the table, row 0 (every kept row) included, so
+        # the candidates that contain all six patterns are not counted.
+        for n in range(1, 12):
+            counts = oracle._counted(n)
+            assert len(oracle._built) == n, n
+            sweep = oracle._sweep(n)
+            histogram = histogram_of(sweep.rows, sweep.masks)
+            assert counts == [filtered_count(histogram, t, n) for t in range(64)], n
+            for ps in ALL_SETS:
+                assert refined_count(n, ps) == counts[ps.mask], (n, ps)
+        assert sweeps.below == Counter({n: 1 for n in range(1, 12)})
+
+    def test_counts_from_below_match_contains(self, sweeps):
+        for n in range(9):
+            counts = oracle._counted(n)
+            assert len(oracle._built) == max(n, 1), n
+            histogram = Counter()
+            for p, bits in zip(*contains_masks(n)):
+                if bits != (1 << 6) - 1:
+                    histogram[bits, p.fixed_point_count()] += 1
+            assert counts == [filtered_count(histogram, t, n) for t in range(64)], n
+        assert sweeps.below == Counter({n: 1 for n in range(1, 9)})
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_interleaved_queries_match_an_ascending_build(self, sweeps, seed):
+        rng = random.Random(seed)
+        queries = [(rng.choice(("refined_count", "avoider_rows", "count_table")),
+                    rng.randrange(12), rng.choice(ALL_SETS)) for _ in range(80)]
+
+        def answer(kind, n, ps):
+            if kind == "refined_count":
+                return refined_count(n, ps)
+            if kind == "avoider_rows":
+                return avoider_rows(n, ps).tolist()
+            return count_table(n, ps).rows
+
+        oracle._sweep(11)
+        expected = [answer(*q) for q in queries]
+        oracle.clear_cache()
+        assert [answer(*q) for q in queries] == expected
+        assert sweeps.below
+
+    def test_rows_built_after_counts_are_not_counted_again(self, sweeps, monkeypatch):
+        histograms = Counter()
+        real = oracle._row_histogram
+
+        def counting(sweep):
+            histograms[sweep.rows.shape[1]] += 1
+            return real(sweep)
+
+        monkeypatch.setattr(oracle, "_row_histogram", counting)
+        row = refined_count(9, "132")
+        counts = oracle._counts[9]
+        # Counts alone build no rows of size 9.
+        assert len(oracle._built) == 9
+        assert sweeps.rows == Counter({n: 1 for n in range(9)})
+        assert sweeps.below == Counter({9: 1})
+        rows = avoider_rows(9, "132")
+        assert len(rows) == sum(row) == 4862
+        avoider_rows(9, "132")
+        assert sweeps.rows == Counter({n: 1 for n in range(10)})
+        assert sweeps.counted == Counter({n: 1 for n in range(10)})
+        assert histograms == Counter({n: 1 for n in range(9)})
+        assert oracle._counts[9] is counts
+
+    def test_threads_on_a_cold_size_count_it_once(self, sweeps, monkeypatch):
+        counting = oracle._histogram_from_below
+
+        def slow(n, *args):
+            time.sleep(0.05)  # widen the window in which callers overlap
+            return counting(n, *args)
+
+        oracle._sweep(8)
+        monkeypatch.setattr(oracle, "_histogram_from_below", slow)
+        start = threading.Barrier(8)
+        sets = ALL_SETS[:8]
+
+        def worker(i):
+            start.wait(timeout=10)
+            return refined_count(9, sets[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(worker, range(8), timeout=30))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sweeps.below == Counter({9: 1})
+        assert sweeps.counted == Counter({n: 1 for n in range(10)})
+        assert len(oracle._built) == 9
+        sweep = oracle._sweep(9)
+        histogram = histogram_of(sweep.rows, sweep.masks)
+        assert results == [filtered_count(histogram, ps.mask, 9) for ps in sets]
