@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ __all__ = [
 ROW_LEVEL = -1
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """One compared cell; ``formula_value`` is whatever the audited
     route claimed, ``oracle_value`` is the brute-force truth."""
 
@@ -67,8 +66,7 @@ class Cell:
     oracle_value: str
 
 
-@dataclass
-class AuditReport:
+class AuditReport(NamedTuple):
     item_id: str
     kind: str
     status: str
@@ -84,7 +82,7 @@ class AuditReport:
         return self.status == VERIFIED
 
     def to_json_dict(self) -> dict:
-        ce = None if self.counterexample is None else asdict(self.counterexample)
+        ce = None if self.counterexample is None else self.counterexample._asdict()
         out = {
             "formula": self.item_id,
             "kind": self.kind,
@@ -304,16 +302,14 @@ def reports_to_json(reports: list[AuditReport]) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuperWilfClaim:
+class SuperWilfClaim(NamedTuple):
     name: str
     members: tuple[str, ...]
     holds: bool
     witness: tuple[int, int] | None
 
 
-@dataclass(frozen=True)
-class SuperWilfAudit:
+class SuperWilfAudit(NamedTuple):
     n_max: int
     claims: tuple[SuperWilfClaim, ...]
 

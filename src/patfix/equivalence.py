@@ -11,7 +11,7 @@ empirically, up to a stated size.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .oracle import refined_count
 from .perms import ALL_PATTERNS, PatternSet, Permutation
@@ -26,15 +26,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OrbitClass:
-    """One orbit: the lexicographically least member represents it."""
+class _Members:
+    """len() of a class of pattern sets is its member count.  namedtuple's
+    _make, and so _replace, checks its field count by len(), so it goes
+    through the constructor instead."""
 
-    representative: PatternSet
-    members: tuple[PatternSet, ...]
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.members)
+
+    @classmethod
+    def _make(cls, iterable: Iterable):
+        return cls(*iterable)
+
+
+class _Orbit(NamedTuple):
+    representative: PatternSet
+    members: tuple[PatternSet, ...]
+
+
+class OrbitClass(_Members, _Orbit):
+    """One orbit: the lexicographically least member represents it."""
+
+    __slots__ = ()
 
 
 def orbit(patterns) -> OrbitClass:
@@ -108,18 +123,18 @@ def symmetry_classes(cardinality: int) -> list[OrbitClass]:
     return sorted(classes, key=lambda c: c.representative)
 
 
-@dataclass(frozen=True)
-class SuperWilfClass:
+class _Grouping(NamedTuple):
+    members: tuple[PatternSet, ...]
+    n_max: int
+
+
+class SuperWilfClass(_Members, _Grouping):
     """Pattern sets with identical refined tables for all n <= n_max.
 
     Equality at n_max is evidence, not proof: the grouping is empirical.
     """
 
-    members: tuple[PatternSet, ...]
-    n_max: int
-
-    def __len__(self) -> int:
-        return len(self.members)
+    __slots__ = ()
 
 
 def _table_key(ps: PatternSet, n_max: int, cap: int | None) -> tuple:

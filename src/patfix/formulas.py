@@ -12,16 +12,17 @@ DISCREPANCIES.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Callable, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Union
 
 from .genfun import gf_for_k, series_coefficients
 from .oracle import count_table
 from .perms import PatternSet
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "DISCREPANT",
@@ -102,15 +103,20 @@ def jacobsthal(n: int) -> int:
 
 
 def _as_int(value: Union[int, Fraction]) -> EvalValue:
-    if isinstance(value, Fraction):
+    if type(value) is not int:
         return int(value) if value.denominator == 1 else Undefined.NON_INTEGRAL
     return value
 
 
 def _ratio(a: int, b: int) -> int | Fraction:
-    """a / b exactly: an int when b divides a, else a Fraction."""
+    """a / b exactly: an int when b divides a, else a Fraction.  Only
+    then is ``fractions`` imported."""
     q, r = divmod(a, b)
-    return Fraction(a, b) if r else q
+    if not r:
+        return q
+    from fractions import Fraction
+
+    return Fraction(a, b)
 
 
 def _finite(*rows: tuple[int, ...]) -> Callable[[int, int], int]:
@@ -343,8 +349,7 @@ def _eval3_231_312_321(n: int, k: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(NamedTuple):
     """One registered closed form."""
 
     formula_id: str
@@ -425,8 +430,7 @@ def evaluate(formula_id: str, n: int, k: int) -> EvalValue:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Recurrence:
+class Recurrence(NamedTuple):
     """A linear recurrence s_n^k = sum of coeff * s_{n-dn}^{k-dk}."""
 
     patterns: PatternSet
@@ -449,8 +453,7 @@ RECURRENCES: dict[str, Recurrence] = {
 }
 
 
-@dataclass(frozen=True)
-class RecurrenceReport:
+class RecurrenceReport(NamedTuple):
     formula_id: str
     n_max: int
     cells_checked: int

@@ -31,9 +31,8 @@ replaces it.  Each size's key layout, a few small arrays, is kept too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -257,8 +256,7 @@ def _gen_132_231_321(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructuralFamily:
+class StructuralFamily(NamedTuple):
     patterns: PatternSet
     kind: str
     build: Callable[[int], np.ndarray]

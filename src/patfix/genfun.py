@@ -8,9 +8,8 @@ recurrence induced by the denominator, never floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "RationalGF",
@@ -89,22 +88,30 @@ def poly_text(coeffs: Sequence[int]) -> str:
     return " ".join(terms) if terms else "0"
 
 
-@dataclass(frozen=True)
-class RationalGF:
+class _Ratio(NamedTuple):
+    numerator: tuple[int, ...]
+    denominator: tuple[int, ...]
+
+
+class RationalGF(_Ratio):
     """Ratio of two integer polynomials (coefficient index = power of x).
 
     The denominator's constant term must be nonzero so that a power
     series expansion exists.
     """
 
-    numerator: tuple[int, ...]
-    denominator: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "numerator", _trim(self.numerator))
-        object.__setattr__(self, "denominator", _trim(self.denominator))
-        if not self.denominator or self.denominator[0] == 0:
+    def __new__(cls, numerator: Iterable[int], denominator: Iterable[int]) -> RationalGF:
+        denominator = _trim(denominator)
+        if not denominator or denominator[0] == 0:
             raise ValueError("denominator needs a nonzero constant term")
+        return super().__new__(cls, _trim(numerator), denominator)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> RationalGF:
+        # namedtuple's _make, and so _replace, would skip __new__.
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"({poly_text(self.numerator)}) / ({poly_text(self.denominator)})"

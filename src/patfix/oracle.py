@@ -49,8 +49,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -160,8 +159,7 @@ def fixed_points(rows: np.ndarray) -> np.ndarray:
 _CHUNK = 1 << 15
 
 
-@dataclass(frozen=True)
-class _Sweep:
+class _Sweep(NamedTuple):
     """The permutations of S_n that avoid some length-3 pattern, as
     lexicographically sorted 0-based rows with their per-row pattern
     masks.  Never changed once built."""
@@ -352,8 +350,7 @@ def enumerate_avoiders(n: int, patterns, *, cap: int | None = None) -> Iterator[
     yield from _from_rows(avoider_rows(n, patterns, cap=cap))
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(NamedTuple):
     """Refined counts for one pattern set, rows n = 0..n_max."""
 
     patterns: PatternSet

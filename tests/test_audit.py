@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import re
@@ -88,7 +87,7 @@ class TestOtherItems:
                 rows[(rows == np.array(missing) - 1).all(axis=1)] = np.array(spurious) - 1
             return rows
 
-        monkeypatch.setitem(generators._FAMILIES, ps, dataclasses.replace(family, build=build))
+        monkeypatch.setitem(generators._FAMILIES, ps, family._replace(build=build))
         report = audit_generator(ps, 6)
         assert report.status == DISCREPANT
         c = report.counterexample
