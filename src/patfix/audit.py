@@ -274,11 +274,6 @@ def audit_all(n_max: int, *, cap: int | None = None) -> list[AuditReport]:
     family, the recurrences, the generating functions, the summation
     identities, the cardinality >= 4 bound and the monotone emptiness.
     Deterministic order, no omissions."""
-    # Every item below reads the oracle at each size up to n_max, and the
-    # structural ones its rows, so the rows are built up front: a size
-    # whose rows exist is counted from them, more cheaply than from the
-    # size below.  The six-pattern filter is empty past size 2.
-    avoider_rows(n_max, ALL_PATTERNS, cap=cap)
     reports = [audit_formula(fid, n_max, cap=cap) for fid in formulas.formula_ids()]
     for fam in generators.supported_families():
         reports.append(audit_generator(fam.patterns, n_max, cap=cap))

@@ -28,18 +28,17 @@ is first asked for, so the table of the largest size asked for is never
 built and each size is built once per process, whatever the cap.  One
 caller builds the missing sizes under one lock while the others wait.
 
-A size's rows are built only when something asks for them: a listing
-of its avoiders, or the next size.  A size whose counts are asked for
-first is counted from the rows, masks and start table of the size below.
-A candidate's fixed points follow from its parent row and its first
-entry v: it has one at position 0 iff v = 0, and one at position j + 1
-iff the parent's entry j is j with j >= v, or is j + 1 with j <= v - 2.
-So one running count per parent row, moved from v - 1 to v by two of its
-columns, gives the fixed points of every candidate, and the kept
-candidates give the histogram that the rows would.  A counts-only query
-up to size n thus keeps rows up to size n - 1 only.  A size counted this
-way keeps its counts when its rows are built later; a size whose rows
-are built first is counted from them.
+A size is counted before its rows are built, and always from the rows,
+masks and start table of the size below; size 0, one empty row, is
+counted by hand.  A candidate's fixed points follow from its parent row
+and its first entry v: it has one at position 0 iff v = 0, and one at
+position j + 1 iff the parent's entry j is j with j >= v, or is j + 1
+with j <= v - 2.  So one running count per parent row, moved from v - 1
+to v by two of its columns, gives the fixed points of every candidate,
+and the kept candidates give the size's histogram and the length of its
+rows.  A size's rows are built only when something asks for them: a
+listing of its avoiders, or the next size.  A counts-only query up to
+size n thus keeps rows up to size n - 1 only.
 
 Counts are plain Python integers end to end; numpy is used only to
 process the rows quickly.
@@ -168,19 +167,16 @@ class _Sweep(NamedTuple):
     masks: np.ndarray
 
 
-def _run_sweep(n: int, prev: _Sweep | None, prev_table: np.ndarray) -> _Sweep:
+def _run_sweep(n: int, prev: _Sweep | None, prev_table: np.ndarray, total: int) -> _Sweep:
     """Size n from size n-1 (``prev``, unused at n = 0) and its start
-    table (see :func:`_start_table`)."""
+    table (see :func:`_start_table`), written straight into arrays of
+    the ``total`` rows that the size's count table says are kept."""
     # A candidate is a kept row r of size n-1 behind a first entry v.  An
     # occurrence that does not use position 0 is one of r's, so its mask
-    # is r's mask plus the patterns that start at v.  Every v's masks are
-    # counted first, so the kept rows can be written straight into
-    # arrays of their final size.  Size 0 is one empty row.
-    total = sum(int(np.count_nonzero((prev.masks | prev_table[:, v]) != _FULL))
-                for v in range(n)) if n else 1
+    # is r's mask plus the patterns that start at v.
     rows = np.empty((total, n), dtype=np.int8)
-    masks = np.zeros(len(rows), dtype=np.uint8)
-    end = 0
+    masks = np.zeros(total, dtype=np.uint8)
+    end = 0 if n else 1  # size 0 is one empty row, with nothing to write
     for v in range(n):
         candidates = prev.masks | prev_table[:, v]
         keep = np.flatnonzero(candidates != _FULL)
@@ -192,27 +188,19 @@ def _run_sweep(n: int, prev: _Sweep | None, prev_table: np.ndarray) -> _Sweep:
         rows[part, 1:] = tail
         del tail
         candidates.take(keep, out=masks[part])
+    if end != total:
+        raise RuntimeError(f"size {n} keeps {end} rows, but {total} were counted")
     rows.flags.writeable = masks.flags.writeable = False
     return _Sweep(rows, masks)
 
 
-def _row_histogram(sweep: _Sweep) -> np.ndarray:
-    """The (mask, fixed points) histogram of a built size, indexed by
-    mask * 16 + fixed points.  A count is at most 15! < 2**63."""
-    histogram = np.zeros(64 * 16, dtype=np.int64)
-    for start in range(0, len(sweep.rows), _CHUNK):
-        part = slice(start, start + _CHUNK)
-        key = (sweep.masks[part].astype(np.uint16) << 4) | fixed_points(sweep.rows[part])
-        histogram += np.bincount(key, minlength=64 * 16)
-    return histogram
-
-
 def _histogram_from_below(n: int, prev: _Sweep, prev_table: np.ndarray) -> np.ndarray:
-    """The histogram of size n, as :func:`_row_histogram` gives it, from
-    size n-1 and its start table without building the rows of size n.
-    Candidate v of a row r (r's entries >= v raised, v put first) has a
-    fixed point at position 0 iff v = 0, and at position j + 1 iff
-    r[j] = j with j >= v or r[j] = j + 1 with j <= v - 2."""
+    """The (mask, fixed points) histogram of the kept rows of size n,
+    indexed by mask * 16 + fixed points, from size n-1 and its start
+    table without building the rows of size n.  A count is at most
+    15! < 2**63.  Candidate v of a row r (r's entries >= v raised, v put
+    first) has a fixed point at position 0 iff v = 0, and at position
+    j + 1 iff r[j] = j with j >= v or r[j] = j + 1 with j <= v - 2."""
     histogram = np.zeros(64 * 16, dtype=np.int64)
     for start in range(0, len(prev.rows), _CHUNK):
         part = slice(start, start + _CHUNK)
@@ -276,12 +264,14 @@ _EMPTY_TABLE = np.zeros((1, 1), dtype=np.uint8)
 _built: tuple[_Sweep, ...] = ()
 _counts: tuple[list[list[int]], ...] = ()
 _frontier: np.ndarray = _EMPTY_TABLE
+# The count table of size 0: the empty row avoids every pattern set.
+_EMPTY_COUNTS = [[1]] * 64
 
 
 def _grow(n: int, rows: bool) -> None:
-    """Under the build lock: count size n and, if ``rows`` (or n = 0),
-    build its rows; build the rows of every smaller size not yet built.
-    A size built after it was counted keeps its counts."""
+    """Under the build lock: count every size up to n not yet counted,
+    each from the size below, and build the rows of every size below n
+    not yet built, and of size n too if ``rows``."""
     global _built, _counts, _frontier
     built, counts, table = _built, _counts, _frontier
     for m in range(len(built), n + 1):
@@ -289,13 +279,13 @@ def _grow(n: int, rows: bool) -> None:
         # size, which a build that raised may have left one ahead.
         if table.shape[1] < m:
             _frontier = table = _start_table(built[m - 2], table, len(built[m - 1].rows))
-        if m == n and m and not rows:
-            if m == len(counts):
-                _counts = counts + (_count_table(_histogram_from_below(m, built[-1], table), m),)
-            return
-        sweep = _run_sweep(m, built[-1] if built else None, table)
         if m == len(counts):
-            _counts = counts = counts + (_count_table(_row_histogram(sweep), m),)
+            count = _EMPTY_COUNTS if m == 0 else _count_table(
+                _histogram_from_below(m, built[-1], table), m)
+            _counts = counts = counts + (count,)
+        if m == n and not rows:
+            return
+        sweep = _run_sweep(m, built[-1] if built else None, table, sum(counts[m][0]))
         _built = built = built + (sweep,)
 
 

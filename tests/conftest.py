@@ -127,19 +127,15 @@ def orbit_by_closure(patterns) -> tuple:
 @pytest.fixture
 def sweeps(monkeypatch):
     """Cold oracle caches, and Counters of the sizes n for which the
-    oracle builds rows (``rows``: calls to ``_run_sweep``), builds a
-    count table by either path (``counted``: calls to ``_count_table``)
-    and counts from the size below (``below``: calls to
-    ``_histogram_from_below``).  The sizes cached before the test are put
-    back afterwards, so later tests do not pay for them again."""
-    calls = SimpleNamespace(rows=Counter(), counted=Counter(), below=Counter())
-    # Each function with the position of its size argument.
-    for name, counter, at in (("_run_sweep", calls.rows, 0),
-                              ("_count_table", calls.counted, 1),
-                              ("_histogram_from_below", calls.below, 0)):
-        def counting(*args, real=getattr(oracle, name), counter=counter, at=at):
-            counter[args[at]] += 1
-            return real(*args)
+    oracle builds rows (``rows``: calls to ``_run_sweep``) and counts
+    from the size below (``counted``: calls to ``_histogram_from_below``;
+    size 0 is never counted this way).  The sizes cached before the test
+    are put back afterwards, so later tests do not pay for them again."""
+    calls = SimpleNamespace(rows=Counter(), counted=Counter())
+    for name, counter in (("_run_sweep", calls.rows), ("_histogram_from_below", calls.counted)):
+        def counting(n, *args, real=getattr(oracle, name), counter=counter):
+            counter[n] += 1
+            return real(n, *args)
 
         monkeypatch.setattr(oracle, name, counting)
     warm = oracle._built, oracle._counts, oracle._frontier

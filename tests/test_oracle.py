@@ -7,6 +7,7 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from math import comb
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import chunk_stats, filtered_count, histogram_of
 
 from patfix import oracle
 from patfix.audit import audit_all
+from patfix.formulas import fibonacci
 from patfix.oracle import (
     CAP_ENV_VAR,
     DEFAULT_CAP,
@@ -135,6 +137,43 @@ class TestStructure:
             for n in range(3, 8):
                 row = refined_count(n, ps)
                 assert all(v == 0 for v in row[3:])
+
+
+class TestSimionSchmidt:
+    """Row totals for every pattern set T with |T| >= 2, as Simion and
+    Schmidt (Europ. J. Combin. 6, 1985) give them for n >= 5.  They
+    share nothing with the start table, so they check the counts from
+    outside it."""
+
+    BINOMIAL = {PatternSet(t) for t in ("123,231", "123,312", "132,321", "213,321")}
+    FIBONACCI = {PatternSet(t) for t in ("123,132,213", "231,312,321")}
+    MONOTONE = PatternSet("123,321").mask
+
+    def total(self, ps):
+        """The name of ps's total and the total as a function of n."""
+        if ps.mask & self.MONOTONE == self.MONOTONE:
+            return "0", lambda n: 0  # from n = 5 on, each holds 123 or 321
+        if len(ps) == 2:
+            if ps in self.BINOMIAL:
+                return "C(n,2)+1", lambda n: comb(n, 2) + 1
+            return "2^(n-1)", lambda n: 2 ** (n - 1)
+        if len(ps) == 3:
+            if ps in self.FIBONACCI:
+                return "fibonacci(n)", fibonacci
+            return "n", lambda n: n
+        return ("2", lambda n: 2) if len(ps) == 4 else ("1", lambda n: 1)
+
+    def test_totals_for_every_set_of_two_or_more(self):
+        named = Counter()
+        for ps in ALL_SETS:
+            if len(ps) < 2:
+                continue
+            name, total = self.total(ps)
+            named[name] += 1
+            for n in range(5, 13):
+                assert sum(refined_count(n, ps)) == total(n), (ps, n)
+        assert named == {"2^(n-1)": 10, "C(n,2)+1": 4, "n": 14, "fibonacci(n)": 2,
+                         "2": 9, "1": 2, "0": 16}
 
 
 class TestCaps:
@@ -274,20 +313,18 @@ class TestSharedSweep:
                 assert np.array_equal(table[:, w], expected), (n, w)
 
     def test_audit_sweeps_each_size_once(self, sweeps):
-        # The audit asks for the rows first, so every size is counted
-        # from its own rows and none from the size below.
+        # The audit's items ask for counts and rows in their own order;
+        # each size is counted from the size below, then built, once.
         audit_all(9)
         assert sweeps.rows == Counter({n: 1 for n in range(10)})
-        assert sweeps.counted == Counter({n: 1 for n in range(10)})
-        assert not sweeps.below
+        assert sweeps.counted == Counter({n: 1 for n in range(1, 10)})
 
     def test_counts_and_avoiders_share_one_sweep(self, sweeps):
         for ps in ("123", "132,231", "231,312,321"):
             refined_count(8, ps)
             list(enumerate_avoiders(8, ps))
         assert sweeps.rows == Counter({n: 1 for n in range(9)})
-        assert sweeps.counted == Counter({n: 1 for n in range(9)})
-        assert sweeps.below == Counter({8: 1})
+        assert sweeps.counted == Counter({n: 1 for n in range(1, 9)})
 
     def test_clear_cache_drops_the_sweep(self, sweeps):
         list(enumerate_avoiders(6, "123"))
@@ -296,8 +333,7 @@ class TestSharedSweep:
         refined_count(6, "123")
         # Counts alone for size 6 build rows only up to size 5.
         assert sweeps.rows == Counter({n: 2 for n in range(6)}) + Counter({6: 1})
-        assert sweeps.counted == Counter({n: 2 for n in range(7)})
-        assert sweeps.below == Counter({6: 1})
+        assert sweeps.counted == Counter({n: 2 for n in range(1, 7)})
 
     def test_single_flight_under_threads(self, sweeps, monkeypatch):
         counting = oracle._run_sweep
@@ -323,7 +359,7 @@ class TestSharedSweep:
         finally:
             sys.setswitchinterval(interval)
         assert sweeps.rows == Counter({n: 1 for n in range(8)})
-        assert sweeps.counted == Counter({n: 1 for n in range(8)})
+        assert sweeps.counted == Counter({n: 1 for n in range(1, 8)})
         assert results[::2] == [429] * 4
         assert results[1::2] == [naive_refined(7, "132")] * 4
 
@@ -346,7 +382,7 @@ class TestSharedSweep:
         assert np.array_equal(last.rows, full.rows)
         assert np.array_equal(last.masks, full.masks)
         assert sweeps.rows == Counter({n: 2 for n in range(7)})
-        assert sweeps.counted == Counter({n: 2 for n in range(7)})
+        assert sweeps.counted == Counter({n: 2 for n in range(1, 7)})
         with pytest.raises(CapExceeded):
             refined_count(7, "123", cap=20)
 
@@ -357,8 +393,7 @@ class TestSharedSweep:
         assert oracle._frontier.shape == (len(oracle._built[6].rows), 7)
         refined_count(8, "123", cap=8)
         assert sweeps.rows == Counter({n: 1 for n in range(8)})
-        assert sweeps.counted == Counter({n: 1 for n in range(9)})
-        assert sweeps.below == Counter({7: 1, 8: 1})
+        assert sweeps.counted == Counter({n: 1 for n in range(1, 9)})
         built, counts = oracle._built, oracle._counts
         oracle.clear_cache()
         for n, sweep in enumerate(built):
@@ -379,14 +414,14 @@ class TestSharedSweep:
         monkeypatch.setattr(oracle, "_run_sweep", failing)
         with pytest.raises(MemoryError):
             refined_count(7, "132")
-        # Size 5's table was published before size 6 failed.
-        assert len(oracle._built) == len(oracle._counts) == 6
+        # Size 6's counts and size 5's table were published before the
+        # rows of size 6 failed.
+        assert len(oracle._built) == 6 and len(oracle._counts) == 7
         assert oracle._frontier.shape == (len(oracle._built[5].rows), 6)
         monkeypatch.setattr(oracle, "_run_sweep", counting)
         assert refined_count(7, "132") == naive_refined(7, "132")
         assert sweeps.rows == Counter({n: 1 for n in range(7)})
-        assert sweeps.counted == Counter({n: 1 for n in range(8)})
-        assert sweeps.below == Counter({7: 1})
+        assert sweeps.counted == Counter({n: 1 for n in range(1, 8)})
 
     def test_a_built_size_is_read_without_the_lock(self):
         expected = refined_count(5, "123")
@@ -420,10 +455,10 @@ class TestSharedSweep:
                 results = list(pool.map(worker, range(8), timeout=30))
         finally:
             sys.setswitchinterval(interval)
-        # Which sizes are counted from the size below depends on the order
-        # the threads arrive in; each size is built and counted once.
+        # Which sizes get rows depends on the order the threads arrive
+        # in; each size is built and counted once.
         assert sweeps.rows == Counter({n: 1 for n in range(8)})
-        assert sweeps.counted == Counter({n: 1 for n in range(9)})
+        assert sweeps.counted == Counter({n: 1 for n in range(1, 9)})
         assert results == [42, 132, 429, 1430] * 2
 
     def test_cap_refused_before_any_sweep(self, sweeps):
@@ -449,18 +484,18 @@ class TestCountFromBelow:
             assert counts == [filtered_count(histogram, t, n) for t in range(64)], n
             for ps in ALL_SETS:
                 assert refined_count(n, ps) == counts[ps.mask], (n, ps)
-        assert sweeps.below == Counter({n: 1 for n in range(1, 12)})
+        assert sweeps.counted == Counter({n: 1 for n in range(1, 12)})
 
     def test_counts_from_below_match_contains(self, sweeps):
         for n in range(9):
             counts = oracle._counted(n)
-            assert len(oracle._built) == max(n, 1), n
+            assert len(oracle._built) == n, n
             histogram = Counter()
             for p, bits in zip(*contains_masks(n)):
                 if bits != (1 << 6) - 1:
                     histogram[bits, p.fixed_point_count()] += 1
             assert counts == [filtered_count(histogram, t, n) for t in range(64)], n
-        assert sweeps.below == Counter({n: 1 for n in range(1, 9)})
+        assert sweeps.counted == Counter({n: 1 for n in range(1, 9)})
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_interleaved_queries_match_an_ascending_build(self, sweeps, seed):
@@ -478,31 +513,47 @@ class TestCountFromBelow:
         oracle._sweep(11)
         expected = [answer(*q) for q in queries]
         oracle.clear_cache()
-        assert [answer(*q) for q in queries] == expected
-        assert sweeps.below
+        got = []
+        for q in queries:
+            got.append(answer(*q))
+            # A size is counted before its rows are built.
+            assert len(oracle._counts) - len(oracle._built) in (0, 1), q
+        assert got == expected
+        # Each size up to the largest asked for is counted once more.
+        top = max(n for _, n, _ in queries)
+        assert sweeps.counted == Counter(range(1, 12)) + Counter(range(1, top + 1))
+        assert max(sweeps.rows.values()) == 2
 
-    def test_rows_built_after_counts_are_not_counted_again(self, sweeps, monkeypatch):
-        histograms = Counter()
-        real = oracle._row_histogram
-
-        def counting(sweep):
-            histograms[sweep.rows.shape[1]] += 1
-            return real(sweep)
-
-        monkeypatch.setattr(oracle, "_row_histogram", counting)
+    def test_rows_built_after_counts_are_not_counted_again(self, sweeps):
         row = refined_count(9, "132")
         counts = oracle._counts[9]
         # Counts alone build no rows of size 9.
         assert len(oracle._built) == 9
         assert sweeps.rows == Counter({n: 1 for n in range(9)})
-        assert sweeps.below == Counter({9: 1})
+        assert sweeps.counted == Counter({n: 1 for n in range(1, 10)})
         rows = avoider_rows(9, "132")
         assert len(rows) == sum(row) == 4862
         avoider_rows(9, "132")
         assert sweeps.rows == Counter({n: 1 for n in range(10)})
-        assert sweeps.counted == Counter({n: 1 for n in range(10)})
-        assert histograms == Counter({n: 1 for n in range(9)})
+        assert sweeps.counted == Counter({n: 1 for n in range(1, 10)})
         assert oracle._counts[9] is counts
+
+    def test_the_counts_give_the_number_of_rows(self, sweeps):
+        # Row 0 of a count table is the empty pattern mask, which every
+        # kept row misses; the rows are written into arrays of that size.
+        for m in range(12):
+            assert len(oracle._sweep(m).rows) == sum(oracle._counts[m][0]), m
+
+    @pytest.mark.parametrize("n, off, error", [
+        (6, 1, RuntimeError), (6, -1, ValueError), (0, 1, RuntimeError),
+    ])
+    def test_a_wrong_row_total_is_refused(self, sweeps, n, off, error):
+        # Too many rows would leave rows of np.empty unwritten; too few
+        # cannot hold the candidates kept.
+        oracle._sweep(n)
+        prev = oracle._built[n - 1] if n else None
+        with pytest.raises(error):
+            oracle._run_sweep(n, prev, oracle._frontier, sum(oracle._counts[n][0]) + off)
 
     def test_threads_on_a_cold_size_count_it_once(self, sweeps, monkeypatch):
         counting = oracle._histogram_from_below
@@ -527,8 +578,7 @@ class TestCountFromBelow:
                 results = list(pool.map(worker, range(8), timeout=30))
         finally:
             sys.setswitchinterval(interval)
-        assert sweeps.below == Counter({9: 1})
-        assert sweeps.counted == Counter({n: 1 for n in range(10)})
+        assert sweeps.counted == Counter({n: 1 for n in range(1, 10)})
         assert len(oracle._built) == 9
         sweep = oracle._sweep(9)
         histogram = histogram_of(sweep.rows, sweep.masks)
