@@ -128,7 +128,9 @@ class _Tally:
 
 def _compare_cells(ps: PatternSet, n_max: int, claim, cap: int | None) -> _Tally:
     """``claim(n, k)`` against the oracle at every cell of rows
-    n = 0..n_max; a cell the claim leaves out of domain is skipped."""
+    n = 0..n_max, refusing an oversized n_max before any count; a cell
+    the claim leaves out of domain is skipped."""
+    check_size(n_max, cap)
     tally = _Tally()
     for n in range(n_max + 1):
         row = refined_count(n, ps, cap=cap)
@@ -141,10 +143,12 @@ def _compare_cells(ps: PatternSet, n_max: int, claim, cap: int | None) -> _Tally
     return tally
 
 
-def _compare_totals(ps: PatternSet, sizes: range, claim, cap: int | None) -> _Tally:
-    """``claim(n)`` against the oracle's row total at every n in sizes."""
+def _compare_totals(ps: PatternSet, first: int, n_max: int, claim, cap: int | None) -> _Tally:
+    """``claim(n)`` against the oracle's row total at every n in
+    first..n_max; an oversized n_max is refused before any count."""
+    check_size(n_max, cap)
     tally = _Tally()
-    for n in sizes:
+    for n in range(first, n_max + 1):
         tally.compare(n, ROW_LEVEL, str(claim(n)), str(sum(refined_count(n, ps, cap=cap))))
     return tally
 
@@ -226,9 +230,10 @@ def audit_gf_coefficients(n_max: int, *, cap: int | None = None) -> AuditReport:
 def audit_gf_sum(n_max: int, *, cap: int | None = None) -> AuditReport:
     """The summed series against the oracle row totals (which the
     separate sum identity pins to 2^(n-1))."""
+    check_size(n_max, cap)
     sums = sum_over_k(n_max, n_max)
     tally = _compare_totals(
-        PatternSet.parse("231,321"), range(n_max + 1), lambda n: sums[n], cap
+        PatternSet.parse("231,321"), 0, n_max, lambda n: sums[n], cap
     )
     return tally.report("gf-sum-231-321", "genfun", n_max)
 
@@ -236,7 +241,7 @@ def audit_gf_sum(n_max: int, *, cap: int | None = None) -> AuditReport:
 def audit_sum_identity(patterns, n_max: int, *, cap: int | None = None) -> AuditReport:
     ps = PatternSet(patterns)
     tally = _compare_totals(
-        ps, range(1, n_max + 1), lambda n: sum_identity(ps, n), cap
+        ps, 1, n_max, lambda n: sum_identity(ps, n), cap
     )
     item_id = "sum-" + ps.canonical().replace(",", "-")
     return tally.report(item_id, "identity", n_max)
@@ -245,6 +250,7 @@ def audit_sum_identity(patterns, n_max: int, *, cap: int | None = None) -> Audit
 def audit_small_class_bound(n_max: int, *, cap: int | None = None) -> AuditReport:
     """Every pattern set of cardinality >= 4 has refined counts in
     {0, 1, 2} at every (n, k)."""
+    check_size(n_max, cap)
     tally = _Tally()
     detail = ""
     for size in (4, 5, 6):
@@ -264,7 +270,7 @@ def audit_small_class_bound(n_max: int, *, cap: int | None = None) -> AuditRepor
 def audit_vanishing(n_max: int, *, cap: int | None = None) -> AuditReport:
     """No permutation of size >= 5 avoids both monotone patterns."""
     tally = _compare_totals(
-        PatternSet.parse("123,321"), range(5, n_max + 1), lambda n: 0, cap
+        PatternSet.parse("123,321"), 5, n_max, lambda n: 0, cap
     )
     return tally.report("empty-123-321", "property", n_max)
 

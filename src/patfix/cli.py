@@ -116,16 +116,6 @@ def _parse_patterns(text: str) -> PatternSet:
         raise UsageError(f"bad pattern set {text!r}: {exc}") from exc
 
 
-def _oracle_cap(cap: int | None, n_max: int) -> int:
-    """Resolve the oracle cap once for a command and refuse ``n_max``
-    before any enumeration; a malformed PATFIX_ORACLE_CAP is a usage
-    error."""
-    try:
-        return check_size(n_max, cap)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _emit(fmt: str, payload, plain, csv=None) -> None:
     """Print one result in the chosen format: ``payload`` as JSON, else
     the lines of ``plain()`` or ``csv()``, so a command formats only the
@@ -165,7 +155,7 @@ def _rows(ps: PatternSet, n_max: int, method: str, cap: int | None) -> list[list
         generators.check_size(n_max, cap)
         rows = (generators.generate_refined(ps, n, cap=cap) for n in sizes)
     else:
-        cap = _oracle_cap(cap, n_max)
+        check_size(n_max, cap)
         rows = (refined_count(n, ps, cap=cap) for n in sizes)
     return [row_text(row) for row in rows]
 
@@ -235,11 +225,10 @@ def _cmd_verify(args) -> int:
             f"unknown formula id {args.formula!r}; known ids: "
             + ", ".join(formula_ids())
         )
-    cap = _oracle_cap(args.cap, args.n_max)
     if args.all:
-        reports = audit_mod.audit_all(args.n_max, cap=cap)
+        reports = audit_mod.audit_all(args.n_max, cap=args.cap)
     else:
-        reports = [audit_mod.audit_formula(args.formula, args.n_max, cap=cap)]
+        reports = [audit_mod.audit_formula(args.formula, args.n_max, cap=args.cap)]
     # The payload is what audit.reports_to_json renders.
     _emit(args.format, [r.to_json_dict() for r in reports],
           plain=lambda: map(_report_line, reports))
@@ -257,13 +246,12 @@ def _cmd_classes(args) -> int:
         return EXIT_OK
     if args.n_max is None:
         raise UsageError("--mode superwilf requires --n-max")
-    cap = _oracle_cap(args.cap, args.n_max)
     candidates = [PatternSet(c) for c in itertools.combinations(ALL_PATTERNS, args.size)]
-    classes = super_wilf_classes(candidates, args.n_max, cap=cap)
+    classes = super_wilf_classes(candidates, args.n_max, cap=args.cap)
     members = [[m.canonical() for m in c.members] for c in classes]
     witnesses = []
     for a, b in itertools.combinations([c.members[0] for c in classes], 2):
-        w = divergence_witness(a, b, args.n_max, cap=cap)
+        w = divergence_witness(a, b, args.n_max, cap=args.cap)
         if w is not None:
             witnesses.append({"a": a.canonical(), "b": b.canonical(), "n": w[0], "k": w[1]})
     _emit(args.format, {
@@ -296,8 +284,7 @@ def _cmd_gf(args) -> int:
 
 def _cmd_avoiders(args) -> int:
     ps = _parse_patterns(args.patterns)
-    cap = _oracle_cap(args.cap, args.n)
-    perms = [p.compact() for p in enumerate_avoiders(args.n, ps, cap=cap)]
+    perms = [p.compact() for p in enumerate_avoiders(args.n, ps, cap=args.cap)]
     _emit(args.format, {
         "patterns": ps.canonical(),
         "n": args.n,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, NamedTuple
 
-from .oracle import refined_count
+from .oracle import check_size, refined_count
 from .perms import ALL_PATTERNS, PatternSet, Permutation
 
 __all__ = [
@@ -143,7 +143,9 @@ def _table_key(ps: PatternSet, n_max: int, cap: int | None) -> tuple:
 
 def super_wilf_classes(candidates, n_max: int, *, cap: int | None = None) -> list[SuperWilfClass]:
     """Partition candidates by exact equality of their full refined
-    tables for n = 0..n_max."""
+    tables for n = 0..n_max; an oversized n_max is refused before any
+    table is counted."""
+    check_size(n_max, cap)
     groups: dict[tuple, set[PatternSet]] = {}
     for candidate in candidates:
         ps = PatternSet(candidate)

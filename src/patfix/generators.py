@@ -296,15 +296,15 @@ def family_for(patterns) -> StructuralFamily | None:
     return _FAMILIES.get(ps)
 
 
-def check_size(n: int, cap: int | None = None) -> int:
-    """Refuse structural generation at size n before any work is done;
-    returns the effective cap (``cap``, else :data:`GENERATOR_CAP`)."""
-    if n < 0:
-        raise ValueError("permutation size must be nonnegative")
+def check_size(n: int, cap: int | None = None) -> None:
+    """Refuse structural generation at size n before any work is done,
+    under ``cap``, else :data:`GENERATOR_CAP`.  A negative size or cap is
+    a bad argument, not a refusal."""
     limit = GENERATOR_CAP if cap is None else cap
+    if min(n, limit) < 0:
+        raise ValueError(f"size {n} and cap {limit} must be nonnegative")
     if n > limit:
-        raise CapExceeded(n, limit, subject="structural generation", override="--cap")
-    return limit
+        raise CapExceeded(n, limit, subject="structural generation")
 
 
 @cache

@@ -46,7 +46,6 @@ process the rows quickly.
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Iterator, NamedTuple
 
@@ -55,7 +54,6 @@ import numpy as np
 from .perms import PatternSet, Permutation, _from_rows
 
 __all__ = [
-    "CAP_ENV_VAR",
     "CapExceeded",
     "CountTable",
     "DEFAULT_CAP",
@@ -66,11 +64,9 @@ __all__ = [
     "enumerate_avoiders",
     "fixed_points",
     "refined_count",
-    "resolve_cap",
 ]
 
 DEFAULT_CAP = 13
-CAP_ENV_VAR = "PATFIX_ORACLE_CAP"
 
 # Fixed-point counts are packed into 4 bits of the histogram key; that
 # field alone bounds the size.
@@ -81,43 +77,27 @@ _FULL = (1 << 6) - 1
 
 
 class CapExceeded(Exception):
-    """An exhaustive pass (or structural generation) was refused."""
+    """An exhaustive pass (or structural generation) was refused;
+    ``override`` names the option that lifts the cap, if any does."""
 
     def __init__(self, n: int, cap: int, subject: str = "oracle enumeration",
-                 override: str = f"--cap or {CAP_ENV_VAR}"):
+                 override: str = "--cap"):
         self.n = n
         self.cap = cap
         hint = f" (override with {override})" if override else ""
         super().__init__(f"size {n} exceeds the {subject} cap of {cap}{hint}")
 
 
-def resolve_cap(cap: int | None = None) -> int:
-    """Effective oracle cap: explicit value, else environment, else default.
-    An environment value that is not a nonnegative integer is refused."""
-    if cap is not None:
-        return cap
-    env = os.environ.get(CAP_ENV_VAR)
-    if env is None:
-        return DEFAULT_CAP
-    try:
-        value = int(env)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise ValueError(f"{CAP_ENV_VAR} must be a nonnegative integer, got {env!r}")
-    return value
-
-
 def check_size(n: int, cap: int | None = None) -> int:
     """Refuse an exhaustive pass over S_n before any work is done.
 
-    Returns the effective cap (see :func:`resolve_cap`), so a caller can
-    resolve it once and pass it on.  Sizes above the histogram's hard
-    limit are refused whatever the cap says.
+    Returns the effective cap: ``cap``, else :data:`DEFAULT_CAP`.  A
+    negative size or cap is a bad argument, not a refusal.  Sizes above
+    the histogram's hard limit are refused whatever the cap says.
     """
-    if n < 0:
-        raise ValueError("permutation size must be nonnegative")
-    limit = resolve_cap(cap)
+    limit = DEFAULT_CAP if cap is None else cap
+    if min(n, limit) < 0:
+        raise ValueError(f"size {n} and cap {limit} must be nonnegative")
     if n > limit:
         raise CapExceeded(n, limit)
     if n > _HARD_LIMIT:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from patfix.audit import (
     audit_vanishing,
     reports_to_json,
 )
+from patfix.equivalence import super_wilf_classes
 from patfix.formulas import DISCREPANT, VERIFIED, formula_ids
 from patfix.oracle import DEFAULT_CAP, CapExceeded
 from patfix.perms import PatternSet, Permutation
@@ -106,6 +108,26 @@ class TestOtherItems:
         monkeypatch.setattr(generators, "generate_rows", build)
         with pytest.raises(CapExceeded):
             audit_generator("231,312", DEFAULT_CAP + 1)
+
+    @pytest.mark.parametrize("audit", [
+        partial(audit_formula, "thm-231-312"),
+        partial(audit_sum_identity, "132,321"),
+        audit_gf_sum,
+        audit_small_class_bound,
+        audit_vanishing,
+        audit_super_wilf,
+        audit_all,
+        partial(super_wilf_classes, ["132", "213"]),
+    ], ids=["formula", "sum-identity", "gf-sum", "small-class-bound", "vanishing",
+            "super-wilf", "all", "super-wilf-classes"])
+    def test_oversized_n_max_refused_before_any_count(self, monkeypatch, sweeps, audit):
+        def expand(*args, **kwargs):
+            raise AssertionError("series expanded past the oracle cap")
+
+        monkeypatch.setattr("patfix.audit.sum_over_k", expand)
+        with pytest.raises(CapExceeded):
+            audit(DEFAULT_CAP + 1)
+        assert not (sweeps.rows or sweeps.counted)
 
     def test_recurrence_items(self):
         for fid in ("thm-132-231", "thm-231-312", "thm-231-321", "thm3-231-312-321"):

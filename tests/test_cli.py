@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -55,8 +54,7 @@ def _pinned_commands():
 CLI_DIGEST = "2d7e5db8718b8259f64be0a2b29db639bba6b482fbd44b53af397a590878cb60"
 
 
-def test_cli_output_digest(capsys, monkeypatch):
-    monkeypatch.delenv(oracle.CAP_ENV_VAR, raising=False)
+def test_cli_output_digest(capsys):
     digest = hashlib.sha256()
     commands = list(_pinned_commands())
     for argv in commands:
@@ -256,7 +254,6 @@ class TestVerify:
     def test_generator_audits_run_under_the_oracle_cap(self, capsys, monkeypatch):
         # The audit's cap bounds its generators too, so a generator cap
         # below the audited size must not refuse the command.
-        monkeypatch.delenv(oracle.CAP_ENV_VAR, raising=False)
         monkeypatch.setattr(generators, "GENERATOR_CAP", 8)
         argv = ["verify", "--all", "--n-max", "9", "--format", "json"]
         records = json.loads((GOLDEN_DIR / "audit.json").read_text(encoding="utf-8"))
@@ -452,12 +449,22 @@ class TestFailFast:
         assert code == 2
         assert "--format" in err and not out
 
-    @pytest.mark.parametrize("bad", ["junk", "-1"])
-    def test_bad_cap_variable_is_a_usage_error(self, capsys, monkeypatch, bad):
-        monkeypatch.setenv(oracle.CAP_ENV_VAR, bad)
-        code, out, err = run(capsys, "table", "--patterns", "123", "--n-max", "3")
-        assert code == 2
-        assert oracle.CAP_ENV_VAR in err and not out
+    @pytest.mark.parametrize("value", ["2", "-1", "junk"])
+    def test_no_environment_variable_sets_the_cap(self, capsys, monkeypatch, value):
+        # --cap is the one source of the oracle cap, so this variable, or
+        # any other, changes no exit code and no byte of stdout.
+        commands = [
+            ["table", "--patterns", "123", "--n-max", "4"],
+            ["sequence", "--patterns", "123", "--k", "0", "--n-max", "4", "--method", "oracle"],
+            ["verify", "--formula", "thm-231-312", "--n-max", "5"],
+            ["classes", "--size", "1", "--mode", "superwilf", "--n-max", "4"],
+            ["avoiders", "--patterns", "132", "--n", "4"],
+        ]
+        monkeypatch.delenv("PATFIX_ORACLE_CAP", raising=False)
+        unset = [run(capsys, *argv)[:2] for argv in commands]
+        assert [code for code, _ in unset] == [0] * len(commands)
+        monkeypatch.setenv("PATFIX_ORACLE_CAP", value)
+        assert [run(capsys, *argv)[:2] for argv in commands] == unset
 
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -485,8 +492,7 @@ DEEP_DIGESTS = [
 class TestDeepOutputs:
     @pytest.mark.parametrize("argv, code, digest", DEEP_DIGESTS,
                              ids=["table-13", "table-13-json", "superwilf-12", "verify-11"])
-    def test_output_is_pinned(self, capsys, monkeypatch, argv, code, digest):
-        monkeypatch.delenv(oracle.CAP_ENV_VAR, raising=False)
+    def test_output_is_pinned(self, capsys, argv, code, digest):
         got, out, _ = run(capsys, *argv)
         assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -496,7 +502,6 @@ class TestDeepOutputs:
         # the rows of size 13, which no count reads, were built.  A child
         # inherits the peak of the process it is started from, so a small
         # interpreter starts it and reads its peak with os.wait4.
-        env = {k: v for k, v in os.environ.items() if k != oracle.CAP_ENV_VAR}
         argv = [sys.executable, "-m", "patfix", "table", "--patterns", "132,231", "--n-max", "13"]
         measure = (
             "import os, subprocess, sys\n"
@@ -506,7 +511,7 @@ class TestDeepOutputs:
             "print(proc.returncode, usage.ru_maxrss)\n"
         )
         out = subprocess.run([sys.executable, "-c", measure], capture_output=True, text=True,
-                             env=env, check=True).stdout
+                             check=True).stdout
         code, peak_kib = map(int, out.split())
         assert code == 0
         assert peak_kib / 1024 < 120

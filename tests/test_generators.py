@@ -48,6 +48,10 @@ class TestRegistry:
         with pytest.raises(CapExceeded):
             generate("231,312", 5, cap=4)
 
+    def test_negative_cap_is_a_bad_argument_not_a_refusal(self):
+        with pytest.raises(ValueError, match="cap -1 must be nonnegative"):
+            generate("123,132", 0, cap=-1)
+
 
 class TestFrozenExamples:
     def test_rotations(self):

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from patfix import oracle
 from patfix.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "goldens"
@@ -23,8 +22,7 @@ RECORDS = [
 
 
 @pytest.mark.parametrize("record", RECORDS)
-def test_command_matches_its_golden(capsys, monkeypatch, record):
-    monkeypatch.delenv(oracle.CAP_ENV_VAR, raising=False)
+def test_command_matches_its_golden(capsys, record):
     code = main(list(record["argv"]))
     assert capsys.readouterr().out == record["stdout"]
     assert code == record["exit"]

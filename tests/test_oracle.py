@@ -17,7 +17,6 @@ from patfix import oracle
 from patfix.audit import audit_all
 from patfix.formulas import fibonacci
 from patfix.oracle import (
-    CAP_ENV_VAR,
     DEFAULT_CAP,
     CapExceeded,
     clear_cache,
@@ -25,7 +24,6 @@ from patfix.oracle import (
     count_table,
     enumerate_avoiders,
     refined_count,
-    resolve_cap,
 )
 from patfix.perms import ALL_PATTERNS, PatternSet, Permutation
 
@@ -183,20 +181,13 @@ class TestCaps:
         assert "cap of 3" in str(exc.value)
         assert exc.value.n == 4 and exc.value.cap == 3
 
-    @pytest.mark.parametrize("bad", ["junk", "-1"])
-    def test_cap_env_override(self, monkeypatch, bad):
-        monkeypatch.setenv(CAP_ENV_VAR, "2")
-        assert resolve_cap() == 2
-        with pytest.raises(CapExceeded):
-            refined_count(3, "123")
-        assert resolve_cap(9) == 9  # explicit beats environment
-        monkeypatch.setenv(CAP_ENV_VAR, bad)
-        with pytest.raises(ValueError, match=CAP_ENV_VAR):
-            resolve_cap()
-
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             refined_count(-1, "123")
+
+    def test_negative_cap_is_a_bad_argument_not_a_refusal(self):
+        with pytest.raises(ValueError, match="cap -1 must be nonnegative"):
+            refined_count(0, "123", cap=-1)
 
 
 class TestConcurrency:
@@ -387,7 +378,6 @@ class TestSharedSweep:
             refined_count(7, "123", cap=20)
 
     def test_a_larger_cap_builds_only_the_new_sizes(self, sweeps, monkeypatch):
-        monkeypatch.delenv(CAP_ENV_VAR, raising=False)
         monkeypatch.setattr(oracle, "DEFAULT_CAP", 7)
         refined_count(7, "123")
         assert oracle._frontier.shape == (len(oracle._built[6].rows), 7)
