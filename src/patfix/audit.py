@@ -276,10 +276,11 @@ def audit_vanishing(n_max: int, *, cap: int | None = None) -> AuditReport:
 
 
 def audit_all(n_max: int, *, cap: int | None = None) -> list[AuditReport]:
-    """Audit everything: all registered formulas, every structural
-    family, the recurrences, the generating functions, the summation
-    identities, the cardinality >= 4 bound and the monotone emptiness.
-    Deterministic order, no omissions."""
+    """The reports of ``verify --all``: all registered formulas, every
+    structural family, the recurrences, the generating functions, the
+    summation identities, the cardinality >= 4 bound and the monotone
+    emptiness, in a deterministic order.  The three refined-equivalence
+    claims are not among them; :func:`audit_super_wilf` checks those."""
     reports = [audit_formula(fid, n_max, cap=cap) for fid in formulas.formula_ids()]
     for fam in generators.supported_families():
         reports.append(audit_generator(fam.patterns, n_max, cap=cap))

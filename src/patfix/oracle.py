@@ -6,8 +6,7 @@ contains (a 6-bit mask) and how many fixed points it has.  A pattern set
 is never empty, so the permutations that contain all six patterns never
 count and are not kept.  Summing one (mask, fixed points) histogram per
 size over the masks that miss each pattern set gives every set's row of
-refined counts, so a query is a lookup; listing the avoiders of a
-pattern set is a boolean filter on the kept rows.
+refined counts, so a query is a lookup.
 
 The rows of size n are grown from those of size n-1 in one insertion
 step: each kept row of size n-1 gets each possible first entry v, with
@@ -23,10 +22,10 @@ and Zeilberger, Ann. Comb. 6, 2002, and Elizalde, EJC 11, 2004, #R51).
 The new row's table is its parent's with column v repeated, plus the
 patterns that start with v second.  Taking v in increasing order and the
 rows of size n-1 in their own order yields the rows of size n already in
-lexicographic order.  A size's start table is built when the next size
-is first asked for, so the table of the largest size asked for is never
-built and each size is built once per process, whatever the cap.  One
-caller builds the missing sizes under one lock while the others wait.
+lexicographic order.  One step per size writes its rows, masks and start
+table in one pass over v, and only the largest size built keeps its
+table.  The same step, keeping only the candidates that miss every
+pattern of a set T, grows T's avoiders alone.
 
 A size is counted before its rows are built, and always from the rows,
 masks and start table of the size below; size 0, one empty row, is
@@ -36,9 +35,12 @@ position j + 1 iff the parent's entry j is j with j >= v, or is j + 1
 with j <= v - 2.  So one running count per parent row, moved from v - 1
 to v by two of its columns, gives the fixed points of every candidate,
 and the kept candidates give the size's histogram and the length of its
-rows.  A size's rows are built only when something asks for them: a
-listing of its avoiders, or the next size.  A counts-only query up to
-size n thus keeps rows up to size n - 1 only.
+rows.  A size's shared rows are built only to count the next size, so
+a query up to size n keeps them up to size n - 1 only.  The avoiders of
+T at a size below the largest counted are a boolean filter on its
+shared rows; at the largest they are grown alone from the size below.
+Each size is built and counted once per process, whatever the cap: one
+caller builds the missing sizes under one lock while the others wait.
 
 Counts are plain Python integers end to end; numpy is used only to
 process the rows quickly.
@@ -141,25 +143,34 @@ _CHUNK = 1 << 15
 class _Sweep(NamedTuple):
     """The permutations of S_n that avoid some length-3 pattern, as
     lexicographically sorted 0-based rows with their per-row pattern
-    masks.  Never changed once built."""
+    masks, and their start table while n is the largest size built
+    (None after).  Entry [r, w] of the table is the mask of the patterns
+    at position 0 of row r with w placed first (r's entries >= w
+    raised).  Never changed once built."""
 
     rows: np.ndarray
     masks: np.ndarray
+    table: np.ndarray | None
 
 
-def _run_sweep(n: int, prev: _Sweep | None, prev_table: np.ndarray, total: int) -> _Sweep:
-    """Size n from size n-1 (``prev``, unused at n = 0) and its start
-    table (see :func:`_start_table`), written straight into arrays of
-    the ``total`` rows that the size's count table says are kept."""
+def _step(n: int, prev: _Sweep | None, tmask: int, total: int) -> _Sweep | np.ndarray:
+    """Size n from size n-1 (``prev``, with its start table; unused at
+    n = 0), written straight into arrays of the ``total`` rows that the
+    size's count table says are kept.  With ``tmask`` 0 it keeps every
+    candidate that misses some pattern and returns the size's
+    :class:`_Sweep`; otherwise it keeps those that miss every pattern in
+    ``tmask`` and returns their rows alone."""
     # A candidate is a kept row r of size n-1 behind a first entry v.  An
     # occurrence that does not use position 0 is one of r's, so its mask
     # is r's mask plus the patterns that start at v.
     rows = np.empty((total, n), dtype=np.int8)
-    masks = np.zeros(total, dtype=np.uint8)
+    if not tmask:
+        masks = np.zeros(total, dtype=np.uint8)
+        table = np.zeros((total, n + 1), dtype=np.uint8)
     end = 0 if n else 1  # size 0 is one empty row, with nothing to write
     for v in range(n):
-        candidates = prev.masks | prev_table[:, v]
-        keep = np.flatnonzero(candidates != _FULL)
+        candidates = prev.masks | prev.table[:, v]
+        keep = np.flatnonzero((candidates & tmask) == 0 if tmask else candidates != _FULL)
         part = slice(end, end + len(keep))
         end = part.stop
         tail = prev.rows.take(keep, axis=0)
@@ -167,11 +178,20 @@ def _run_sweep(n: int, prev: _Sweep | None, prev_table: np.ndarray, total: int) 
         rows[part, 0] = v
         rows[part, 1:] = tail
         del tail
-        candidates.take(keep, out=masks[part])
+        if not tmask:
+            candidates.take(keep, out=masks[part])
+            # A w <= v sees r's entries as r's own column w does, and a
+            # w > v as column w - 1 does; then add the starts (w, v, x).
+            parent = prev.table.take(keep, axis=0)
+            table[part, :v + 1] = parent[:, :v + 1]
+            table[part, v + 1:] = parent[:, v:]
+            table[part] |= _starts(n, v)
     if end != total:
         raise RuntimeError(f"size {n} keeps {end} rows, but {total} were counted")
-    rows.flags.writeable = masks.flags.writeable = False
-    return _Sweep(rows, masks)
+    if tmask:
+        return rows
+    rows.flags.writeable = masks.flags.writeable = table.flags.writeable = False
+    return _Sweep(rows, masks, table)
 
 
 def _histogram_from_below(n: int, prev: _Sweep, prev_table: np.ndarray) -> np.ndarray:
@@ -215,84 +235,47 @@ def _count_table(histogram: np.ndarray, n: int) -> list[list[int]]:
     return sums.reshape(64, n + 1)[::-1].tolist()
 
 
-def _start_table(prev: _Sweep, prev_table: np.ndarray, size: int) -> np.ndarray:
-    """The start table of the ``size`` rows that :func:`_run_sweep` keeps
-    from ``prev`` and its table.  Entry [r, w] is the mask of the patterns
-    at position 0 of row r with w placed first (r's entries >= w raised)."""
-    n = prev_table.shape[1]
-    table = np.empty((size, n + 1), dtype=np.uint8)
-    end = 0
-    for v in range(n):
-        keep = np.flatnonzero((prev.masks | prev_table[:, v]) != _FULL)
-        starts = table[end:end + len(keep)]
-        end += len(keep)
-        # A w <= v sees r's entries as r's own column w does, and a w > v
-        # as column w - 1 does; then add the starts (w, v, x).
-        parent = prev_table.take(keep, axis=0)
-        starts[:, :v + 1] = parent[:, :v + 1]
-        starts[:, v + 1:] = parent[:, v:]
-        starts |= _starts(n, v)
-    return table
-
-
 _build_lock = threading.Lock()
-# The start table of size 0: no w starts a pattern in the empty row.
-_EMPTY_TABLE = np.zeros((1, 1), dtype=np.uint8)
-# The rows of sizes 0..m and the count tables of sizes 0..m or 0..m + 1,
-# each replaced whole and never changed once published, and the start
-# table of size m - 1 or, once size m + 1 is counted, of size m.
+# The shared rows of sizes 0..m - 1 and the count tables of sizes 0..m,
+# each replaced whole and never changed once published.
 _built: tuple[_Sweep, ...] = ()
 _counts: tuple[list[list[int]], ...] = ()
-_frontier: np.ndarray = _EMPTY_TABLE
 # The count table of size 0: the empty row avoids every pattern set.
 _EMPTY_COUNTS = [[1]] * 64
 
 
-def _grow(n: int, rows: bool) -> None:
+def _grow(n: int) -> None:
     """Under the build lock: count every size up to n not yet counted,
-    each from the size below, and build the rows of every size below n
-    not yet built, and of size n too if ``rows``."""
-    global _built, _counts, _frontier
-    built, counts, table = _built, _counts, _frontier
-    for m in range(len(built), n + 1):
-        # Size m reads the table of size m - 1.  Its width gives its
-        # size, which a build that raised may have left one ahead.
-        if table.shape[1] < m:
-            _frontier = table = _start_table(built[m - 2], table, len(built[m - 1].rows))
-        if m == len(counts):
-            count = _EMPTY_COUNTS if m == 0 else _count_table(
-                _histogram_from_below(m, built[-1], table), m)
-            _counts = counts = counts + (count,)
-        if m == n and not rows:
-            return
-        sweep = _run_sweep(m, built[-1] if built else None, table, sum(counts[m][0]))
-        _built = built = built + (sweep,)
+    each from the shared rows of the size below, which are built first
+    if they are not yet."""
+    global _built, _counts
+    built, counts = _built, _counts
+    for m in range(len(counts), n + 1):
+        if m == 0:
+            count = _EMPTY_COUNTS
+        else:
+            if len(built) < m:
+                top = _step(m - 1, built[-1] if built else None, 0, sum(counts[m - 1][0]))
+                # Only the largest size built keeps its start table.
+                if built:
+                    built = built[:-1] + (built[-1]._replace(table=None),)
+                _built = built = built + (top,)
+            below = built[m - 1]
+            count = _count_table(_histogram_from_below(m, below, below.table), m)
+        _counts = counts = counts + (count,)
 
 
-def _sweep(n: int) -> _Sweep:
-    """The cached rows of size n.  A size already built is returned
-    without a lock.  Otherwise the first caller builds the missing sizes
-    under the build lock while later callers wait.  The start table of
-    size n is built only once size n + 1 is asked for."""
-    built = _built
-    if n < len(built):
-        return built[n]
+def _grown(n: int) -> tuple[tuple[_Sweep, ...], list[list[int]]]:
+    """The shared rows built so far, of every size below n at least, and
+    the count table of size n.  Read without a lock once size n is
+    counted; otherwise the first caller counts it under the build lock
+    while later callers wait."""
+    counts, built = _counts, _built
+    if n < len(counts) and n <= len(built):
+        return built, counts[n]
     with _build_lock:
-        _grow(n, rows=True)
-        return _built[n]
-
-
-def _counted(n: int) -> list[list[int]]:
-    """The count table of size n, read without a lock once it exists.
-    Otherwise the first caller counts it under the build lock from the
-    size below, building the rows of the smaller sizes first if need
-    be, while later callers wait."""
-    counts = _counts
-    if n < len(counts):
-        return counts[n]
-    with _build_lock:
-        _grow(n, rows=False)
-        return _counts[n]
+        _grow(n)
+        return _built, _counts[n]
 
 
 def refined_count(n: int, patterns, *, cap: int | None = None) -> list[int]:
@@ -301,17 +284,20 @@ def refined_count(n: int, patterns, *, cap: int | None = None) -> list[int]:
     points."""
     pats = PatternSet(patterns)
     check_size(n, cap)
-    return list(_counted(n)[pats.mask])
+    return list(_grown(n)[1][pats.mask])
 
 
 def avoider_rows(n: int, patterns, *, cap: int | None = None) -> np.ndarray:
     """The avoiders of ``patterns`` in S_n as 0-based rows (entry v is
-    v - 1), in lexicographic order, filtered from the cached rows of
-    size n."""
+    v - 1), in lexicographic order: filtered from the shared rows of
+    size n if they are built, else grown alone from those of size n-1."""
     pats = PatternSet(patterns)
     check_size(n, cap)
-    sweep = _sweep(n)
-    return sweep.rows[(sweep.masks & pats.mask) == 0]
+    built, counts = _grown(n)
+    if n < len(built):
+        sweep = built[n]
+        return sweep.rows[(sweep.masks & pats.mask) == 0]
+    return _step(n, built[n - 1] if n else None, pats.mask, sum(counts[pats.mask]))
 
 
 def enumerate_avoiders(n: int, patterns, *, cap: int | None = None) -> Iterator[Permutation]:
@@ -351,6 +337,6 @@ def count_table(n_max: int, patterns, *, cap: int | None = None) -> CountTable:
 
 def clear_cache() -> None:
     """Drop all cached enumeration state (mainly for tests)."""
-    global _built, _counts, _frontier
+    global _built, _counts
     with _build_lock:
-        _built, _counts, _frontier = (), (), _EMPTY_TABLE
+        _built, _counts = (), ()

@@ -1,3 +1,4 @@
+import threading
 from collections import Counter
 from types import SimpleNamespace
 
@@ -124,21 +125,39 @@ def orbit_by_closure(patterns) -> tuple:
     return tuple(sorted(seen))
 
 
+def shared_sweep(n: int):
+    """The oracle's shared rows of size n, with their start table: the
+    rows of a size are built to count the size above it."""
+    oracle._grown(n + 1)
+    return oracle._built[n]
+
+
 @pytest.fixture
 def sweeps(monkeypatch):
     """Cold oracle caches, and Counters of the sizes n for which the
-    oracle builds rows (``rows``: calls to ``_run_sweep``) and counts
-    from the size below (``counted``: calls to ``_histogram_from_below``;
-    size 0 is never counted this way).  The sizes cached before the test
-    are put back afterwards, so later tests do not pay for them again."""
-    calls = SimpleNamespace(rows=Counter(), counted=Counter())
-    for name, counter in (("_run_sweep", calls.rows), ("_histogram_from_below", calls.counted)):
-        def counting(n, *args, real=getattr(oracle, name), counter=counter):
-            counter[n] += 1
-            return real(n, *args)
+    oracle builds shared rows (``rows``: calls to ``_step`` with pattern
+    mask 0), grows one set's avoiders alone (``sets``: calls to ``_step``
+    with a pattern mask) and counts from the size below (``counted``:
+    calls to ``_histogram_from_below``; size 0 is never counted this
+    way).  The sizes cached before the test are put back afterwards, so
+    later tests do not pay for them again."""
+    calls = SimpleNamespace(rows=Counter(), sets=Counter(), counted=Counter())
+    # Sets are grown outside the build lock, so threads may count at once.
+    lock = threading.Lock()
 
-        monkeypatch.setattr(oracle, name, counting)
-    warm = oracle._built, oracle._counts, oracle._frontier
+    def step(n, prev, tmask, total, real=oracle._step):
+        with lock:
+            (calls.sets if tmask else calls.rows)[n] += 1
+        return real(n, prev, tmask, total)
+
+    def counting(n, *args, real=oracle._histogram_from_below):
+        with lock:
+            calls.counted[n] += 1
+        return real(n, *args)
+
+    monkeypatch.setattr(oracle, "_step", step)
+    monkeypatch.setattr(oracle, "_histogram_from_below", counting)
+    warm = oracle._built, oracle._counts
     oracle.clear_cache()
     yield calls
-    oracle._built, oracle._counts, oracle._frontier = warm
+    oracle._built, oracle._counts = warm

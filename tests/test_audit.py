@@ -127,7 +127,7 @@ class TestOtherItems:
         monkeypatch.setattr("patfix.audit.sum_over_k", expand)
         with pytest.raises(CapExceeded):
             audit(DEFAULT_CAP + 1)
-        assert not (sweeps.rows or sweeps.counted)
+        assert not (sweeps.rows or sweeps.sets or sweeps.counted)
 
     def test_recurrence_items(self):
         for fid in ("thm-132-231", "thm-231-312", "thm-231-321", "thm3-231-312-321"):

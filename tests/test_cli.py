@@ -355,6 +355,22 @@ class TestAvoiders:
                            "--cap", "3")
         assert code == 3
 
+    def test_smallest_sizes_in_a_fresh_process(self):
+        # A fresh process has built no rows, so sizes 0 and 1 are grown
+        # from the size below, size 0 from nothing.
+        def payload(n, avoider):
+            return (f'{{\n  "patterns": "123",\n  "n": {n},\n  "count": "1",\n'
+                    f'  "avoiders": [\n    "{avoider}"\n  ]\n}}\n')
+
+        for n, avoider in (("0", ""), ("1", "1")):
+            for fmt, expected in (("plain", f"{avoider}\n"), ("json", payload(n, avoider)),
+                                  ("csv", f"permutation\n{avoider}\n")):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "patfix", "avoiders", "--patterns", "123",
+                     "--n", n, "--format", fmt], capture_output=True, text=True,
+                )
+                assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, ""), (n, fmt)
+
 
 class TestFailFast:
     @pytest.mark.parametrize("argv", [
@@ -370,7 +386,7 @@ class TestFailFast:
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert "cap" in err and not out
-        assert not (sweeps.rows or sweeps.counted)
+        assert not (sweeps.rows or sweeps.sets or sweeps.counted)
 
     @pytest.mark.parametrize("argv", [
         ["table", "--patterns", "231,321", "--method", "generator", "--n-max", "15"],
@@ -402,7 +418,7 @@ class TestFailFast:
         code, out, err = run(capsys, *argv, "--patterns", "123", "--n-max", "99")
         assert code == 2
         assert message in err and "cap" not in err and not out
-        assert not (sweeps.rows or sweeps.counted)
+        assert not (sweeps.rows or sweeps.sets or sweeps.counted)
 
     @pytest.mark.parametrize("argv, option", [
         (["table", "--patterns", "123", "--n-max", "-1"], "--n-max"),
@@ -417,7 +433,7 @@ class TestFailFast:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert f"{option} must be nonnegative" in err and not out
-        assert not (sweeps.rows or sweeps.counted)
+        assert not (sweeps.rows or sweeps.sets or sweeps.counted)
 
     @pytest.mark.parametrize("argv, option", [
         (["classes", "--size", "1", "--n-max", "3"], "--n-max"),
@@ -427,7 +443,7 @@ class TestFailFast:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert f"{option} applies only to --mode superwilf" in err and not out
-        assert not (sweeps.rows or sweeps.counted)
+        assert not (sweeps.rows or sweeps.sets or sweeps.counted)
 
     @pytest.mark.parametrize("argv", [
         ["table", "--method", "formula", "--n-max", "3"],
@@ -438,7 +454,7 @@ class TestFailFast:
         code, out, err = run(capsys, *argv, "--patterns", "231,321", "--cap", "1")
         assert code == 2
         assert "--cap applies only to --method oracle and generator" in err and not out
-        assert not (sweeps.rows or sweeps.counted)
+        assert not (sweeps.rows or sweeps.sets or sweeps.counted)
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--formula", "thm-231-312"],
@@ -498,23 +514,27 @@ class TestDeepOutputs:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_counts_at_the_cap_keep_no_rows_of_the_largest_size(self):
-        # The command's own peak (Linux ru_maxrss, in KiB) was 154 MB while
-        # the rows of size 13, which no count reads, were built.  A child
-        # inherits the peak of the process it is started from, so a small
-        # interpreter starts it and reads its peak with os.wait4.
-        argv = [sys.executable, "-m", "patfix", "table", "--patterns", "132,231", "--n-max", "13"]
-        measure = (
-            "import os, subprocess, sys\n"
-            f"proc = subprocess.Popen({argv!r}, stdout=subprocess.DEVNULL)\n"
-            "_, status, usage = os.wait4(proc.pid, 0)\n"
-            "proc.returncode = os.waitstatus_to_exitcode(status)\n"
-            "print(proc.returncode, usage.ru_maxrss)\n"
-        )
-        out = subprocess.run([sys.executable, "-c", measure], capture_output=True, text=True,
-                             check=True).stdout
-        code, peak_kib = map(int, out.split())
-        assert code == 0
-        assert peak_kib / 1024 < 120
+        # The commands' own peaks (Linux ru_maxrss, in KiB) were 154 and
+        # 153 MB while the shared rows of size 13, which no count reads,
+        # were built: for the table, and for the generator audit's
+        # listings at size 13.  A child inherits the peak of the process
+        # it is started from, so a small interpreter starts it and reads
+        # its peak with os.wait4.
+        for args, expected in ((["table", "--patterns", "132,231", "--n-max", "13"], 0),
+                               (["verify", "--all", "--n-max", "13", "--format", "json"], 1)):
+            argv = [sys.executable, "-m", "patfix", *args]
+            measure = (
+                "import os, subprocess, sys\n"
+                f"proc = subprocess.Popen({argv!r}, stdout=subprocess.DEVNULL)\n"
+                "_, status, usage = os.wait4(proc.pid, 0)\n"
+                "proc.returncode = os.waitstatus_to_exitcode(status)\n"
+                "print(proc.returncode, usage.ru_maxrss)\n"
+            )
+            out = subprocess.run([sys.executable, "-c", measure], capture_output=True,
+                                 text=True, check=True).stdout
+            code, peak_kib = map(int, out.split())
+            assert code == expected, args
+            assert peak_kib / 1024 < 120, args
 
 
 class TestEntryPoint:

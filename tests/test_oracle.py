@@ -11,7 +11,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from conftest import chunk_stats, filtered_count, histogram_of
+from conftest import chunk_stats, filtered_count, histogram_of, shared_sweep
 
 from patfix import oracle
 from patfix.audit import audit_all
@@ -62,9 +62,11 @@ def naive_avoiders(n, patterns):
 
 
 class TestSpecValues:
-    def test_empty_size(self):
-        assert refined_count(0, "123") == [1]
+    def test_empty_size(self, sweeps):
+        # On a cold cache too, where no rows of any size are built.
         assert list(enumerate_avoiders(0, "123")) == [Permutation(())]
+        assert refined_count(0, "123") == [1]
+        assert oracle._built == () and sweeps.sets == Counter({0: 1})
 
     def test_s3_examples(self):
         assert [p.compact() for p in enumerate_avoiders(3, "231,312")] == [
@@ -208,20 +210,22 @@ class TestConcurrency:
 
 
 class TestSharedSweep:
-    def test_every_pattern_set_matches_contains(self):
+    def test_every_pattern_set_matches_contains(self, sweeps):
         # Six containment bits per permutation, computed once per n from
         # the definition, then filtered for each of the 63 pattern sets.
-        all_sets = [
-            PatternSet(combo)
-            for size in range(1, 7)
-            for combo in itertools.combinations(ALL_PATTERNS, size)
-        ]
-        assert len(all_sets) == 63
+        # Each size is listed first before its shared rows are built, so
+        # each set is grown alone from the size below, and then again
+        # filtered from the shared rows, which counting the size above
+        # builds.
+        assert len(ALL_SETS) == 63
         for n in range(8):
             perms, bits = contains_masks(n)
-            for ps in all_sets:
-                expected = [p for p, b in zip(perms, bits) if b & ps.mask == 0]
-                assert list(enumerate_avoiders(n, ps)) == expected, (n, ps)
+            for _ in range(2):
+                for ps in ALL_SETS:
+                    expected = [p for p, b in zip(perms, bits) if b & ps.mask == 0]
+                    assert list(enumerate_avoiders(n, ps)) == expected, (n, ps)
+                oracle._grown(n + 1)
+        assert sweeps.sets == Counter({n: 63 for n in range(8)})
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_every_pattern_set_matches_the_full_histogram(self, n):
@@ -247,7 +251,7 @@ class TestSharedSweep:
                 if bits != (1 << 6) - 1:
                     expected_rows.append([v - 1 for v in p])
                     expected_masks.append(bits)
-            sweep = oracle._sweep(n)
+            sweep = shared_sweep(n)
             assert sweep.rows.tolist() == expected_rows, n
             assert sweep.masks.tolist() == expected_masks, n
 
@@ -257,7 +261,7 @@ class TestSharedSweep:
         # row of every mask (the 63 pattern sets and 0) against the
         # filtered histogram.  The 64 rows determine the histogram.
         for n in range(11):
-            sweep = oracle._sweep(n)
+            sweep = shared_sweep(n)
             mask, fixed = chunk_stats(sweep.rows)
             assert np.array_equal(sweep.masks, mask), n
             histogram = Counter(zip(mask.tolist(), fixed.tolist()))
@@ -274,7 +278,7 @@ class TestSharedSweep:
     def test_rows_masks_and_histogram_are_pinned(self, n, count, digest):
         # Recorded from the build that resolved every candidate's mask
         # from its own entries, as chunk_stats does.
-        sweep = oracle._sweep(n)
+        sweep = shared_sweep(n)
         h = hashlib.sha256()
         h.update(sweep.rows.tobytes())
         h.update(sweep.masks.tobytes())
@@ -289,8 +293,8 @@ class TestSharedSweep:
         # (0, j, k) of row r with w placed first and r's entries >= w
         # raised by one.
         for n in range(8):
-            oracle._sweep(n + 1)
-            rows, table = oracle._built[n].rows, oracle._frontier
+            sweep = shared_sweep(n)
+            rows, table = sweep.rows, sweep.table
             assert table.shape == (len(rows), n + 1), n
             for w in range(n + 1):
                 placed = np.column_stack([np.full(len(rows), w), rows + (rows >= w)])
@@ -305,35 +309,42 @@ class TestSharedSweep:
 
     def test_audit_sweeps_each_size_once(self, sweeps):
         # The audit's items ask for counts and rows in their own order;
-        # each size is counted from the size below, then built, once.
+        # each size is counted from the size below once, and the shared
+        # rows of every size below the largest are built once.  The
+        # generator audit lists each family's avoiders at the largest
+        # size, which grows that family's set alone; the family of
+        # {132,213,231} stops at the first size where its set differs.
         audit_all(9)
-        assert sweeps.rows == Counter({n: 1 for n in range(10)})
+        assert sweeps.rows == Counter({n: 1 for n in range(9)})
         assert sweeps.counted == Counter({n: 1 for n in range(1, 10)})
+        assert sweeps.sets == Counter({9: 13})
 
     def test_counts_and_avoiders_share_one_sweep(self, sweeps):
         for ps in ("123", "132,231", "231,312,321"):
             refined_count(8, ps)
             list(enumerate_avoiders(8, ps))
-        assert sweeps.rows == Counter({n: 1 for n in range(9)})
+        assert sweeps.rows == Counter({n: 1 for n in range(8)})
         assert sweeps.counted == Counter({n: 1 for n in range(1, 9)})
+        assert sweeps.sets == Counter({8: 3})
 
     def test_clear_cache_drops_the_sweep(self, sweeps):
         list(enumerate_avoiders(6, "123"))
         clear_cache()
         assert oracle._built == oracle._counts == ()
         refined_count(6, "123")
-        # Counts alone for size 6 build rows only up to size 5.
-        assert sweeps.rows == Counter({n: 2 for n in range(6)}) + Counter({6: 1})
+        # Counts or avoiders of size 6 build shared rows only up to size 5.
+        assert sweeps.rows == Counter({n: 2 for n in range(6)})
         assert sweeps.counted == Counter({n: 2 for n in range(1, 7)})
+        assert sweeps.sets == Counter({6: 1})
 
     def test_single_flight_under_threads(self, sweeps, monkeypatch):
-        counting = oracle._run_sweep
+        counting = oracle._step
 
         def slow(n, *args):
             time.sleep(0.05)  # widen the window in which callers overlap
             return counting(n, *args)
 
-        monkeypatch.setattr(oracle, "_run_sweep", slow)
+        monkeypatch.setattr(oracle, "_step", slow)
         start = threading.Barrier(8)
 
         def worker(i):
@@ -349,66 +360,66 @@ class TestSharedSweep:
                 results = list(pool.map(worker, range(8), timeout=30))
         finally:
             sys.setswitchinterval(interval)
-        assert sweeps.rows == Counter({n: 1 for n in range(8)})
+        assert sweeps.rows == Counter({n: 1 for n in range(7)})
         assert sweeps.counted == Counter({n: 1 for n in range(1, 8)})
+        assert sweeps.sets == Counter({7: 4})
         assert results[::2] == [429] * 4
         assert results[1::2] == [naive_refined(7, "132")] * 4
 
     def test_no_state_is_built_at_the_hard_limit(self, sweeps, monkeypatch):
-        # After size n is built or counted the frontier is the table of
-        # size n - 1, so the table of the largest size asked for is never
-        # built, and counts alone leave that size's rows unbuilt.
+        # Only the largest size built keeps its start table, and neither
+        # counts nor avoiders of the largest size asked for build its
+        # shared rows, so the table of that size is never built.
         for n in range(1, 7):
-            oracle._sweep(n)
-            assert oracle._frontier.shape == (len(oracle._built[n - 1].rows), n), n
-        full, full_counts = oracle._sweep(6), oracle._counts[6]
+            refined_count(n, "123")
+            assert [s.table is not None for s in oracle._built] == [False] * (n - 1) + [True]
+            assert oracle._built[-1].table.shape == (len(oracle._built[n - 1].rows), n), n
+        full, full_counts = avoider_rows(6, "123"), oracle._counts[6]
         oracle.clear_cache()
         monkeypatch.setattr(oracle, "_HARD_LIMIT", 6)
         refined_count(6, "123", cap=20)
         assert len(oracle._built) == 6 and len(oracle._counts) == 7
-        assert oracle._frontier.shape == (len(oracle._built[5].rows), 6)
+        assert oracle._built[5].table.shape == (len(oracle._built[5].rows), 6)
         assert oracle._counts[6] == full_counts
-        last = oracle._sweep(6)
-        assert oracle._frontier.shape == (len(oracle._built[5].rows), 6)
-        assert np.array_equal(last.rows, full.rows)
-        assert np.array_equal(last.masks, full.masks)
-        assert sweeps.rows == Counter({n: 2 for n in range(7)})
+        assert np.array_equal(avoider_rows(6, "123", cap=20), full)
+        assert len(oracle._built) == 6 and len(oracle._counts) == 7
+        assert sweeps.rows == Counter({n: 2 for n in range(6)})
         assert sweeps.counted == Counter({n: 2 for n in range(1, 7)})
+        assert sweeps.sets == Counter({6: 2})
         with pytest.raises(CapExceeded):
             refined_count(7, "123", cap=20)
 
     def test_a_larger_cap_builds_only_the_new_sizes(self, sweeps, monkeypatch):
         monkeypatch.setattr(oracle, "DEFAULT_CAP", 7)
         refined_count(7, "123")
-        assert oracle._frontier.shape == (len(oracle._built[6].rows), 7)
+        assert oracle._built[6].table.shape == (len(oracle._built[6].rows), 7)
         refined_count(8, "123", cap=8)
         assert sweeps.rows == Counter({n: 1 for n in range(8)})
         assert sweeps.counted == Counter({n: 1 for n in range(1, 9)})
         built, counts = oracle._built, oracle._counts
         oracle.clear_cache()
         for n, sweep in enumerate(built):
-            fresh = oracle._sweep(n)
+            fresh = shared_sweep(n)
             assert np.array_equal(sweep.rows, fresh.rows), n
             assert np.array_equal(sweep.masks, fresh.masks), n
-        oracle._sweep(8)
         assert counts == oracle._counts
 
     def test_a_build_that_raised_resumes_where_it_stopped(self, sweeps, monkeypatch):
-        counting = oracle._run_sweep
+        counting = oracle._step
 
         def failing(n, *args):
             if n == 6:
                 raise MemoryError
             return counting(n, *args)
 
-        monkeypatch.setattr(oracle, "_run_sweep", failing)
+        monkeypatch.setattr(oracle, "_step", failing)
         with pytest.raises(MemoryError):
             refined_count(7, "132")
-        # Size 6's counts and size 5's table were published before the
-        # rows of size 6 failed.
+        # Size 6's counts and size 5's rows and table were published
+        # before the rows of size 6 failed.
         assert len(oracle._built) == 6 and len(oracle._counts) == 7
-        assert oracle._frontier.shape == (len(oracle._built[5].rows), 6)
-        monkeypatch.setattr(oracle, "_run_sweep", counting)
+        assert oracle._built[5].table.shape == (len(oracle._built[5].rows), 6)
+        monkeypatch.setattr(oracle, "_step", counting)
         assert refined_count(7, "132") == naive_refined(7, "132")
         assert sweeps.rows == Counter({n: 1 for n in range(7)})
         assert sweeps.counted == Counter({n: 1 for n in range(1, 8)})
@@ -425,13 +436,13 @@ class TestSharedSweep:
         assert results == [expected]
 
     def test_threads_asking_for_different_sizes_build_each_once(self, sweeps, monkeypatch):
-        counting = oracle._run_sweep
+        counting = oracle._step
 
         def slow(n, *args):
             time.sleep(0.01)  # widen the window in which callers overlap
             return counting(n, *args)
 
-        monkeypatch.setattr(oracle, "_run_sweep", slow)
+        monkeypatch.setattr(oracle, "_step", slow)
         start = threading.Barrier(8)
 
         def worker(i):
@@ -459,7 +470,63 @@ class TestSharedSweep:
         assert exc.value.cap == 15
         with pytest.raises(CapExceeded):
             next(enumerate_avoiders(DEFAULT_CAP + 1, "123"))
-        assert not (sweeps.rows or sweeps.counted)
+        assert not (sweeps.rows or sweeps.sets or sweeps.counted)
+
+
+class TestGrowOneSet:
+    def test_a_set_grown_alone_equals_the_filter(self, sweeps):
+        # Each size is listed before its shared rows are built, so every
+        # listing is grown from the size below; counting the size above
+        # then builds the shared rows it is compared with.
+        for n in range(10):
+            grown = [avoider_rows(n, ps) for ps in ALL_SETS]
+            assert len(oracle._built) == n, n
+            sweep = shared_sweep(n)
+            for ps, rows in zip(ALL_SETS, grown):
+                assert np.array_equal(rows, sweep.rows[(sweep.masks & ps.mask) == 0]), (n, ps)
+        assert sweeps.sets == Counter({n: len(ALL_SETS) for n in range(10)})
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    def test_a_cold_listing_builds_only_the_sizes_below(self, sweeps, n):
+        rows = avoider_rows(n, "132")
+        assert len(oracle._built) == n and len(oracle._counts) == n + 1
+        assert len(rows) == sum(refined_count(n, "132"))
+        assert sweeps.rows == Counter(range(n)) and sweeps.sets == Counter({n: 1})
+
+    def test_threads_listing_and_counting_a_cold_size(self, sweeps, monkeypatch):
+        counting = oracle._step
+
+        def slow(n, *args):
+            time.sleep(0.01)  # widen the window in which callers overlap
+            return counting(n, *args)
+
+        monkeypatch.setattr(oracle, "_step", slow)
+        start = threading.Barrier(8)
+        sets = ALL_SETS[::8]
+
+        def worker(i):
+            start.wait(timeout=10)
+            if i % 2:
+                return refined_count(8, sets[i])
+            return avoider_rows(8, sets[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(worker, range(8), timeout=30))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sweeps.rows == Counter({n: 1 for n in range(8)})
+        assert sweeps.counted == Counter({n: 1 for n in range(1, 9)})
+        assert sweeps.sets == Counter({8: 4})
+        sweep = shared_sweep(8)
+        histogram = histogram_of(sweep.rows, sweep.masks)
+        for i, ps in enumerate(sets):
+            if i % 2:
+                assert results[i] == filtered_count(histogram, ps.mask, 8), ps
+            else:
+                assert np.array_equal(results[i], sweep.rows[(sweep.masks & ps.mask) == 0]), ps
 
 
 class TestCountFromBelow:
@@ -467,18 +534,19 @@ class TestCountFromBelow:
         # All 64 rows of the table, row 0 (every kept row) included, so
         # the candidates that contain all six patterns are not counted.
         for n in range(1, 12):
-            counts = oracle._counted(n)
+            counts = oracle._grown(n)[1]
             assert len(oracle._built) == n, n
-            sweep = oracle._sweep(n)
+            sweep = shared_sweep(n)
             histogram = histogram_of(sweep.rows, sweep.masks)
             assert counts == [filtered_count(histogram, t, n) for t in range(64)], n
             for ps in ALL_SETS:
                 assert refined_count(n, ps) == counts[ps.mask], (n, ps)
-        assert sweeps.counted == Counter({n: 1 for n in range(1, 12)})
+        # The rows of size 11 are built by counting size 12.
+        assert sweeps.counted == Counter({n: 1 for n in range(1, 13)})
 
     def test_counts_from_below_match_contains(self, sweeps):
         for n in range(9):
-            counts = oracle._counted(n)
+            counts = oracle._grown(n)[1]
             assert len(oracle._built) == n, n
             histogram = Counter()
             for p, bits in zip(*contains_masks(n)):
@@ -500,14 +568,14 @@ class TestCountFromBelow:
                 return avoider_rows(n, ps).tolist()
             return count_table(n, ps).rows
 
-        oracle._sweep(11)
+        oracle._grown(11)
         expected = [answer(*q) for q in queries]
         oracle.clear_cache()
         got = []
         for q in queries:
             got.append(answer(*q))
-            # A size is counted before its rows are built.
-            assert len(oracle._counts) - len(oracle._built) in (0, 1), q
+            # The shared rows of a size are built to count the size above.
+            assert len(oracle._counts) - len(oracle._built) == 1, q
         assert got == expected
         # Each size up to the largest asked for is counted once more.
         top = max(n for _, n, _ in queries)
@@ -524,15 +592,18 @@ class TestCountFromBelow:
         rows = avoider_rows(9, "132")
         assert len(rows) == sum(row) == 4862
         avoider_rows(9, "132")
-        assert sweeps.rows == Counter({n: 1 for n in range(10)})
+        # The avoiders of size 9 are grown alone, from the rows of size 8.
+        assert len(oracle._built) == 9
+        assert sweeps.rows == Counter({n: 1 for n in range(9)})
         assert sweeps.counted == Counter({n: 1 for n in range(1, 10)})
+        assert sweeps.sets == Counter({9: 2})
         assert oracle._counts[9] is counts
 
     def test_the_counts_give_the_number_of_rows(self, sweeps):
         # Row 0 of a count table is the empty pattern mask, which every
         # kept row misses; the rows are written into arrays of that size.
         for m in range(12):
-            assert len(oracle._sweep(m).rows) == sum(oracle._counts[m][0]), m
+            assert len(shared_sweep(m).rows) == sum(oracle._counts[m][0]), m
 
     @pytest.mark.parametrize("n, off, error", [
         (6, 1, RuntimeError), (6, -1, ValueError), (0, 1, RuntimeError),
@@ -540,10 +611,10 @@ class TestCountFromBelow:
     def test_a_wrong_row_total_is_refused(self, sweeps, n, off, error):
         # Too many rows would leave rows of np.empty unwritten; too few
         # cannot hold the candidates kept.
-        oracle._sweep(n)
+        counts = oracle._grown(n)[1]
         prev = oracle._built[n - 1] if n else None
         with pytest.raises(error):
-            oracle._run_sweep(n, prev, oracle._frontier, sum(oracle._counts[n][0]) + off)
+            oracle._step(n, prev, 0, sum(counts[0]) + off)
 
     def test_threads_on_a_cold_size_count_it_once(self, sweeps, monkeypatch):
         counting = oracle._histogram_from_below
@@ -552,7 +623,7 @@ class TestCountFromBelow:
             time.sleep(0.05)  # widen the window in which callers overlap
             return counting(n, *args)
 
-        oracle._sweep(8)
+        oracle._grown(8)
         monkeypatch.setattr(oracle, "_histogram_from_below", slow)
         start = threading.Barrier(8)
         sets = ALL_SETS[:8]
@@ -570,6 +641,6 @@ class TestCountFromBelow:
             sys.setswitchinterval(interval)
         assert sweeps.counted == Counter({n: 1 for n in range(1, 10)})
         assert len(oracle._built) == 9
-        sweep = oracle._sweep(9)
+        sweep = shared_sweep(9)
         histogram = histogram_of(sweep.rows, sweep.masks)
         assert results == [filtered_count(histogram, ps.mask, 9) for ps in sets]

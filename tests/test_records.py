@@ -47,8 +47,9 @@ RECORDS = [
      ("formula_id", "n_max", "cells_checked", "violations"), True),
     (StructuralFamily, lambda: supported_families()[0], ("patterns", "kind", "build"), True),
     (RationalGF, lambda: gf_for_k(2), ("numerator", "denominator"), True),
-    (_Sweep, lambda: _Sweep(np.zeros((1, 0), dtype=np.int8), np.zeros(1, dtype=np.uint8)),
-     ("rows", "masks"), False),
+    (_Sweep, lambda: _Sweep(np.zeros((1, 0), dtype=np.int8), np.zeros(1, dtype=np.uint8),
+                            np.zeros((1, 1), dtype=np.uint8)),
+     ("rows", "masks", "table"), False),
     (CountTable, lambda: count_table(4, "132"), ("patterns", "rows"), False),
 ]
 IDS = [r[0].__name__ for r in RECORDS]
