@@ -27,20 +27,22 @@ table in one pass over v, and only the largest size built keeps its
 table.  The same step, keeping only the candidates that miss every
 pattern of a set T, grows T's avoiders alone.
 
-A size is counted before its rows are built, and always from the rows,
-masks and start table of the size below; size 0, one empty row, is
-counted by hand.  A candidate's fixed points follow from its parent row
-and its first entry v: it has one at position 0 iff v = 0, and one at
-position j + 1 iff the parent's entry j is j with j >= v, or is j + 1
-with j <= v - 2.  So one running count per parent row, moved from v - 1
-to v by two of its columns, gives the fixed points of every candidate,
-and the kept candidates give the size's histogram and the length of its
-rows.  A size's shared rows are built only to count the next size, so
-a query up to size n keeps them up to size n - 1 only.  The avoiders of
-T at a size below the largest counted are a boolean filter on its
-shared rows; at the largest they are grown alone from the size below.
-Each size is built and counted once per process, whatever the cap: one
-caller builds the missing sizes under one lock while the others wait.
+Size 0, one empty row that avoids every pattern set, is held from import
+on as the seed of both caches, the shared rows and the count tables.
+Every larger size is counted before its rows are built, from the rows,
+masks and start table of the size below.  A candidate's fixed points
+follow from its parent row and its first entry v: it has one at position
+0 iff v = 0, and one at position j + 1 iff the parent's entry j is j
+with j >= v, or is j + 1 with j <= v - 2.  So one running count per
+parent row, moved from v - 1 to v by two of its columns, gives the fixed
+points of every candidate, and the kept candidates give the size's
+histogram and the length of its rows.  A size's shared rows are built
+only to count the next size, so a query up to size n keeps them up to
+size max(n - 1, 0) only.  The avoiders of T at a size below the largest
+counted are a boolean filter on its shared rows; at the largest they are
+grown alone from the size below.  Each size is built and counted once
+per process, whatever the cap: one caller builds the missing sizes under
+one lock while the others wait.
 
 Counts are plain Python integers end to end; numpy is used only to
 process the rows quickly.
@@ -153,10 +155,16 @@ class _Sweep(NamedTuple):
     table: np.ndarray | None
 
 
-def _step(n: int, prev: _Sweep | None, tmask: int, total: int) -> _Sweep | np.ndarray:
-    """Size n from size n-1 (``prev``, with its start table; unused at
-    n = 0), written straight into arrays of the ``total`` rows that the
-    size's count table says are kept.  With ``tmask`` 0 it keeps every
+def _sealed(rows: np.ndarray, masks: np.ndarray, table: np.ndarray) -> _Sweep:
+    """A size's arrays as a :class:`_Sweep`, made read-only."""
+    rows.flags.writeable = masks.flags.writeable = table.flags.writeable = False
+    return _Sweep(rows, masks, table)
+
+
+def _step(n: int, prev: _Sweep, tmask: int, total: int) -> _Sweep | np.ndarray:
+    """Size n >= 1 from size n-1 (``prev``, with its start table),
+    written straight into arrays of the ``total`` rows that the size's
+    count table says are kept.  With ``tmask`` 0 it keeps every
     candidate that misses some pattern and returns the size's
     :class:`_Sweep`; otherwise it keeps those that miss every pattern in
     ``tmask`` and returns their rows alone."""
@@ -167,7 +175,7 @@ def _step(n: int, prev: _Sweep | None, tmask: int, total: int) -> _Sweep | np.nd
     if not tmask:
         masks = np.zeros(total, dtype=np.uint8)
         table = np.zeros((total, n + 1), dtype=np.uint8)
-    end = 0 if n else 1  # size 0 is one empty row, with nothing to write
+    end = 0
     for v in range(n):
         candidates = prev.masks | prev.table[:, v]
         keep = np.flatnonzero((candidates & tmask) == 0 if tmask else candidates != _FULL)
@@ -190,11 +198,10 @@ def _step(n: int, prev: _Sweep | None, tmask: int, total: int) -> _Sweep | np.nd
         raise RuntimeError(f"size {n} keeps {end} rows, but {total} were counted")
     if tmask:
         return rows
-    rows.flags.writeable = masks.flags.writeable = table.flags.writeable = False
-    return _Sweep(rows, masks, table)
+    return _sealed(rows, masks, table)
 
 
-def _histogram_from_below(n: int, prev: _Sweep, prev_table: np.ndarray) -> np.ndarray:
+def _histogram_from_below(n: int, prev: _Sweep) -> np.ndarray:
     """The (mask, fixed points) histogram of the kept rows of size n,
     indexed by mask * 16 + fixed points, from size n-1 and its start
     table without building the rows of size n.  A count is at most
@@ -204,7 +211,7 @@ def _histogram_from_below(n: int, prev: _Sweep, prev_table: np.ndarray) -> np.nd
     histogram = np.zeros(64 * 16, dtype=np.int64)
     for start in range(0, len(prev.rows), _CHUNK):
         part = slice(start, start + _CHUNK)
-        rows, masks, table = prev.rows[part], prev.masks[part], prev_table[part]
+        rows, masks, table = prev.rows[part], prev.masks[part], prev.table[part]
         fixed = fixed_points(rows) + 1  # candidate 0
         for v in range(n):
             if v:
@@ -236,46 +243,36 @@ def _count_table(histogram: np.ndarray, n: int) -> list[list[int]]:
 
 
 _build_lock = threading.Lock()
+# Size 0: one empty row, with no pattern in it nor at 0 placed first, and
+# its count table, in which every pattern set has that row.
+_SEED = ((_sealed(np.zeros((1, 0), np.int8), np.zeros(1, np.uint8), np.zeros((1, 1), np.uint8)),),
+         ([[1]] * 64,))
 # The shared rows of sizes 0..m - 1 and the count tables of sizes 0..m,
 # each replaced whole and never changed once published.
-_built: tuple[_Sweep, ...] = ()
-_counts: tuple[list[list[int]], ...] = ()
-# The count table of size 0: the empty row avoids every pattern set.
-_EMPTY_COUNTS = [[1]] * 64
-
-
-def _grow(n: int) -> None:
-    """Under the build lock: count every size up to n not yet counted,
-    each from the shared rows of the size below, which are built first
-    if they are not yet."""
-    global _built, _counts
-    built, counts = _built, _counts
-    for m in range(len(counts), n + 1):
-        if m == 0:
-            count = _EMPTY_COUNTS
-        else:
-            if len(built) < m:
-                top = _step(m - 1, built[-1] if built else None, 0, sum(counts[m - 1][0]))
-                # Only the largest size built keeps its start table.
-                if built:
-                    built = built[:-1] + (built[-1]._replace(table=None),)
-                _built = built = built + (top,)
-            below = built[m - 1]
-            count = _count_table(_histogram_from_below(m, below, below.table), m)
-        _counts = counts = counts + (count,)
+_built, _counts = _SEED
 
 
 def _grown(n: int) -> tuple[tuple[_Sweep, ...], list[list[int]]]:
     """The shared rows built so far, of every size below n at least, and
     the count table of size n.  Read without a lock once size n is
-    counted; otherwise the first caller counts it under the build lock
-    while later callers wait."""
+    counted.  Otherwise the first caller, under the build lock while
+    later callers wait, counts each missing size up to n from the shared
+    rows of the size below, building those rows first if they are not
+    yet built."""
+    global _built, _counts
     counts, built = _counts, _built
     if n < len(counts) and n <= len(built):
         return built, counts[n]
     with _build_lock:
-        _grow(n)
-        return _built, _counts[n]
+        built, counts = _built, _counts
+        for m in range(len(counts), n + 1):
+            if len(built) < m:
+                top = _step(m - 1, built[-1], 0, sum(counts[m - 1][0]))
+                # Only the largest size built keeps its start table.
+                _built = built = built[:-1] + (built[-1]._replace(table=None), top)
+            count = _count_table(_histogram_from_below(m, built[m - 1]), m)
+            _counts = counts = counts + (count,)
+        return built, counts[n]
 
 
 def refined_count(n: int, patterns, *, cap: int | None = None) -> list[int]:
@@ -297,7 +294,7 @@ def avoider_rows(n: int, patterns, *, cap: int | None = None) -> np.ndarray:
     if n < len(built):
         sweep = built[n]
         return sweep.rows[(sweep.masks & pats.mask) == 0]
-    return _step(n, built[n - 1] if n else None, pats.mask, sum(counts[pats.mask]))
+    return _step(n, built[n - 1], pats.mask, sum(counts[pats.mask]))
 
 
 def enumerate_avoiders(n: int, patterns, *, cap: int | None = None) -> Iterator[Permutation]:
@@ -336,7 +333,7 @@ def count_table(n_max: int, patterns, *, cap: int | None = None) -> CountTable:
 
 
 def clear_cache() -> None:
-    """Drop all cached enumeration state (mainly for tests)."""
+    """Drop all cached enumeration state but the seed (mainly for tests)."""
     global _built, _counts
     with _build_lock:
-        _built, _counts = (), ()
+        _built, _counts = _SEED

@@ -134,18 +134,21 @@ def shared_sweep(n: int):
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """Cold oracle caches, and Counters of the sizes n for which the
-    oracle builds shared rows (``rows``: calls to ``_step`` with pattern
-    mask 0), grows one set's avoiders alone (``sets``: calls to ``_step``
-    with a pattern mask) and counts from the size below (``counted``:
-    calls to ``_histogram_from_below``; size 0 is never counted this
-    way).  The sizes cached before the test are put back afterwards, so
-    later tests do not pay for them again."""
+    """Cold oracle caches, which hold only the seed (size 0), and
+    Counters of the sizes n for which the oracle builds shared rows
+    (``rows``: calls to ``_step`` with pattern mask 0), grows one set's
+    avoiders alone (``sets``: calls to ``_step`` with a pattern mask) and
+    counts from the size below (``counted``: calls to
+    ``_histogram_from_below``).  Size 0 is never stepped or counted: a
+    call to ``_step`` with n = 0 fails the test.  The sizes cached before
+    the test are put back afterwards, so later tests do not pay for them
+    again."""
     calls = SimpleNamespace(rows=Counter(), sets=Counter(), counted=Counter())
     # Sets are grown outside the build lock, so threads may count at once.
     lock = threading.Lock()
 
     def step(n, prev, tmask, total, real=oracle._step):
+        assert n > 0, "size 0 is the seed, never stepped"
         with lock:
             (calls.sets if tmask else calls.rows)[n] += 1
         return real(n, prev, tmask, total)

@@ -39,6 +39,33 @@ def naive_refined(n, patterns):
     return out
 
 
+def overlapping(monkeypatch, name, delay, work):
+    """``work(i)`` for i = 0..7, in eight threads that start together;
+    each call to ``oracle.<name>`` sleeps ``delay`` seconds first, and the
+    switch interval is cut, to widen the window in which callers
+    overlap."""
+    real = getattr(oracle, name)
+
+    def slow(*args):
+        time.sleep(delay)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, name, slow)
+    start = threading.Barrier(8)
+
+    def worker(i):
+        start.wait(timeout=10)
+        return work(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            return list(pool.map(worker, range(8), timeout=30))
+    finally:
+        sys.setswitchinterval(interval)
+
+
 ALL_SETS = [PatternSet(combo) for size in range(1, 7)
             for combo in itertools.combinations(ALL_PATTERNS, size)]
 
@@ -63,10 +90,13 @@ def naive_avoiders(n, patterns):
 
 class TestSpecValues:
     def test_empty_size(self, sweeps):
-        # On a cold cache too, where no rows of any size are built.
-        assert list(enumerate_avoiders(0, "123")) == [Permutation(())]
-        assert refined_count(0, "123") == [1]
-        assert oracle._built == () and sweeps.sets == Counter({0: 1})
+        # On a cold cache too, which holds size 0 from import on, so
+        # nothing is stepped or counted.
+        for ps in ALL_SETS:
+            assert list(enumerate_avoiders(0, ps)) == [Permutation(())]
+            assert refined_count(0, ps) == [1]
+        assert not (sweeps.rows or sweeps.sets or sweeps.counted)
+        assert oracle._built is oracle._SEED[0] and oracle._counts is oracle._SEED[1]
 
     def test_s3_examples(self):
         assert [p.compact() for p in enumerate_avoiders(3, "231,312")] == [
@@ -213,10 +243,10 @@ class TestSharedSweep:
     def test_every_pattern_set_matches_contains(self, sweeps):
         # Six containment bits per permutation, computed once per n from
         # the definition, then filtered for each of the 63 pattern sets.
-        # Each size is listed first before its shared rows are built, so
-        # each set is grown alone from the size below, and then again
-        # filtered from the shared rows, which counting the size above
-        # builds.
+        # Each size from 1 on is listed first before its shared rows are
+        # built, so each set is grown alone from the size below, and then
+        # again filtered from the shared rows, which counting the size
+        # above builds.  Size 0 is always filtered from the seed.
         assert len(ALL_SETS) == 63
         for n in range(8):
             perms, bits = contains_masks(n)
@@ -225,7 +255,7 @@ class TestSharedSweep:
                     expected = [p for p, b in zip(perms, bits) if b & ps.mask == 0]
                     assert list(enumerate_avoiders(n, ps)) == expected, (n, ps)
                 oracle._grown(n + 1)
-        assert sweeps.sets == Counter({n: 63 for n in range(8)})
+        assert sweeps.sets == Counter({n: 63 for n in range(1, 8)})
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_every_pattern_set_matches_the_full_histogram(self, n):
@@ -315,7 +345,7 @@ class TestSharedSweep:
         # size, which grows that family's set alone; the family of
         # {132,213,231} stops at the first size where its set differs.
         audit_all(9)
-        assert sweeps.rows == Counter({n: 1 for n in range(9)})
+        assert sweeps.rows == Counter({n: 1 for n in range(1, 9)})
         assert sweeps.counted == Counter({n: 1 for n in range(1, 10)})
         assert sweeps.sets == Counter({9: 13})
 
@@ -323,44 +353,64 @@ class TestSharedSweep:
         for ps in ("123", "132,231", "231,312,321"):
             refined_count(8, ps)
             list(enumerate_avoiders(8, ps))
-        assert sweeps.rows == Counter({n: 1 for n in range(8)})
+        assert sweeps.rows == Counter({n: 1 for n in range(1, 8)})
         assert sweeps.counted == Counter({n: 1 for n in range(1, 9)})
         assert sweeps.sets == Counter({8: 3})
 
     def test_clear_cache_drops_the_sweep(self, sweeps):
         list(enumerate_avoiders(6, "123"))
+        # Building size 1 dropped the seed's start table from the cache,
+        # not from the seed, which clear_cache puts back as it is.
+        assert oracle._built[0].table is None
         clear_cache()
-        assert oracle._built == oracle._counts == ()
+        assert oracle._built is oracle._SEED[0] and oracle._counts is oracle._SEED[1]
+        (seed,), (counts,) = oracle._SEED
+        assert seed.rows.shape == (1, 0) and seed.masks.tolist() == [0]
+        assert seed.table.tolist() == [[0]] and counts == [[1]] * 64
+        for array in seed:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 1
         refined_count(6, "123")
         # Counts or avoiders of size 6 build shared rows only up to size 5.
-        assert sweeps.rows == Counter({n: 2 for n in range(6)})
+        assert sweeps.rows == Counter({n: 2 for n in range(1, 6)})
         assert sweeps.counted == Counter({n: 2 for n in range(1, 7)})
         assert sweeps.sets == Counter({6: 1})
 
+    def test_size_one_on_a_cold_cache_is_one_step_from_the_seed(self, sweeps, monkeypatch):
+        parents, real = [], oracle._step
+
+        def step(n, prev, tmask, total):
+            parents.append(prev)
+            return real(n, prev, tmask, total)
+
+        monkeypatch.setattr(oracle, "_step", step)
+        for ps in ALL_SETS:
+            clear_cache()
+            assert avoider_rows(1, ps).tolist() == [[0]]
+        assert len(parents) == len(ALL_SETS)
+        assert all(prev is oracle._SEED[0][0] for prev in parents)
+        assert sweeps.sets == sweeps.counted == Counter({1: len(ALL_SETS)})
+        assert not sweeps.rows
+
+    def test_threads_on_a_cold_size_one_count_it_once(self, sweeps, monkeypatch):
+        def work(i):
+            if i % 2:
+                return refined_count(1, ALL_SETS[i])
+            return avoider_rows(1, ALL_SETS[i]).tolist()
+
+        results = overlapping(monkeypatch, "_histogram_from_below", 0.05, work)
+        assert results == [[[0]], [0, 1]] * 4
+        assert sweeps.counted == Counter({1: 1}) and not sweeps.rows
+        assert sweeps.sets == Counter({1: 4})
+
     def test_single_flight_under_threads(self, sweeps, monkeypatch):
-        counting = oracle._step
-
-        def slow(n, *args):
-            time.sleep(0.05)  # widen the window in which callers overlap
-            return counting(n, *args)
-
-        monkeypatch.setattr(oracle, "_step", slow)
-        start = threading.Barrier(8)
-
-        def worker(i):
-            start.wait(timeout=10)
+        def work(i):
             if i % 2:
                 return refined_count(7, "132")
             return sum(1 for _ in enumerate_avoiders(7, "132"))
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                results = list(pool.map(worker, range(8), timeout=30))
-        finally:
-            sys.setswitchinterval(interval)
-        assert sweeps.rows == Counter({n: 1 for n in range(7)})
+        results = overlapping(monkeypatch, "_step", 0.05, work)
+        assert sweeps.rows == Counter({n: 1 for n in range(1, 7)})
         assert sweeps.counted == Counter({n: 1 for n in range(1, 8)})
         assert sweeps.sets == Counter({7: 4})
         assert results[::2] == [429] * 4
@@ -383,7 +433,7 @@ class TestSharedSweep:
         assert oracle._counts[6] == full_counts
         assert np.array_equal(avoider_rows(6, "123", cap=20), full)
         assert len(oracle._built) == 6 and len(oracle._counts) == 7
-        assert sweeps.rows == Counter({n: 2 for n in range(6)})
+        assert sweeps.rows == Counter({n: 2 for n in range(1, 6)})
         assert sweeps.counted == Counter({n: 2 for n in range(1, 7)})
         assert sweeps.sets == Counter({6: 2})
         with pytest.raises(CapExceeded):
@@ -394,7 +444,7 @@ class TestSharedSweep:
         refined_count(7, "123")
         assert oracle._built[6].table.shape == (len(oracle._built[6].rows), 7)
         refined_count(8, "123", cap=8)
-        assert sweeps.rows == Counter({n: 1 for n in range(8)})
+        assert sweeps.rows == Counter({n: 1 for n in range(1, 8)})
         assert sweeps.counted == Counter({n: 1 for n in range(1, 9)})
         built, counts = oracle._built, oracle._counts
         oracle.clear_cache()
@@ -421,7 +471,7 @@ class TestSharedSweep:
         assert oracle._built[5].table.shape == (len(oracle._built[5].rows), 6)
         monkeypatch.setattr(oracle, "_step", counting)
         assert refined_count(7, "132") == naive_refined(7, "132")
-        assert sweeps.rows == Counter({n: 1 for n in range(7)})
+        assert sweeps.rows == Counter({n: 1 for n in range(1, 7)})
         assert sweeps.counted == Counter({n: 1 for n in range(1, 8)})
 
     def test_a_built_size_is_read_without_the_lock(self):
@@ -436,29 +486,11 @@ class TestSharedSweep:
         assert results == [expected]
 
     def test_threads_asking_for_different_sizes_build_each_once(self, sweeps, monkeypatch):
-        counting = oracle._step
-
-        def slow(n, *args):
-            time.sleep(0.01)  # widen the window in which callers overlap
-            return counting(n, *args)
-
-        monkeypatch.setattr(oracle, "_step", slow)
-        start = threading.Barrier(8)
-
-        def worker(i):
-            start.wait(timeout=10)
-            return sum(refined_count(5 + i % 4, "132"))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                results = list(pool.map(worker, range(8), timeout=30))
-        finally:
-            sys.setswitchinterval(interval)
+        results = overlapping(monkeypatch, "_step", 0.01,
+                              lambda i: sum(refined_count(5 + i % 4, "132")))
         # Which sizes get rows depends on the order the threads arrive
         # in; each size is built and counted once.
-        assert sweeps.rows == Counter({n: 1 for n in range(8)})
+        assert sweeps.rows == Counter({n: 1 for n in range(1, 8)})
         assert sweeps.counted == Counter({n: 1 for n in range(1, 9)})
         assert results == [42, 132, 429, 1430] * 2
 
@@ -475,49 +507,37 @@ class TestSharedSweep:
 
 class TestGrowOneSet:
     def test_a_set_grown_alone_equals_the_filter(self, sweeps):
-        # Each size is listed before its shared rows are built, so every
-        # listing is grown from the size below; counting the size above
-        # then builds the shared rows it is compared with.
+        # Each size from 1 on is listed before its shared rows are built,
+        # so every listing is grown from the size below; counting the size
+        # above then builds the shared rows it is compared with.  Size 0
+        # is filtered from the seed.
         for n in range(10):
             grown = [avoider_rows(n, ps) for ps in ALL_SETS]
-            assert len(oracle._built) == n, n
+            assert len(oracle._built) == max(n, 1), n
             sweep = shared_sweep(n)
             for ps, rows in zip(ALL_SETS, grown):
                 assert np.array_equal(rows, sweep.rows[(sweep.masks & ps.mask) == 0]), (n, ps)
-        assert sweeps.sets == Counter({n: len(ALL_SETS) for n in range(10)})
+        assert sweeps.sets == Counter({n: len(ALL_SETS) for n in range(1, 10)})
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7])
     def test_a_cold_listing_builds_only_the_sizes_below(self, sweeps, n):
+        # Size 0 is the seed, so its listing is a filter and steps nothing.
         rows = avoider_rows(n, "132")
-        assert len(oracle._built) == n and len(oracle._counts) == n + 1
+        assert len(oracle._built) == max(n, 1) and len(oracle._counts) == n + 1
         assert len(rows) == sum(refined_count(n, "132"))
-        assert sweeps.rows == Counter(range(n)) and sweeps.sets == Counter({n: 1})
+        assert sweeps.rows == Counter(range(1, n))
+        assert sweeps.sets == (Counter({n: 1}) if n else Counter())
 
     def test_threads_listing_and_counting_a_cold_size(self, sweeps, monkeypatch):
-        counting = oracle._step
-
-        def slow(n, *args):
-            time.sleep(0.01)  # widen the window in which callers overlap
-            return counting(n, *args)
-
-        monkeypatch.setattr(oracle, "_step", slow)
-        start = threading.Barrier(8)
         sets = ALL_SETS[::8]
 
-        def worker(i):
-            start.wait(timeout=10)
+        def work(i):
             if i % 2:
                 return refined_count(8, sets[i])
             return avoider_rows(8, sets[i])
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                results = list(pool.map(worker, range(8), timeout=30))
-        finally:
-            sys.setswitchinterval(interval)
-        assert sweeps.rows == Counter({n: 1 for n in range(8)})
+        results = overlapping(monkeypatch, "_step", 0.01, work)
+        assert sweeps.rows == Counter({n: 1 for n in range(1, 8)})
         assert sweeps.counted == Counter({n: 1 for n in range(1, 9)})
         assert sweeps.sets == Counter({8: 4})
         sweep = shared_sweep(8)
@@ -547,7 +567,7 @@ class TestCountFromBelow:
     def test_counts_from_below_match_contains(self, sweeps):
         for n in range(9):
             counts = oracle._grown(n)[1]
-            assert len(oracle._built) == n, n
+            assert len(oracle._built) == max(n, 1), n
             histogram = Counter()
             for p, bits in zip(*contains_masks(n)):
                 if bits != (1 << 6) - 1:
@@ -574,8 +594,9 @@ class TestCountFromBelow:
         got = []
         for q in queries:
             got.append(answer(*q))
-            # The shared rows of a size are built to count the size above.
-            assert len(oracle._counts) - len(oracle._built) == 1, q
+            # The shared rows of a size are built to count the size above;
+            # those of size 0 are the seed.
+            assert len(oracle._built) == max(len(oracle._counts) - 1, 1), q
         assert got == expected
         # Each size up to the largest asked for is counted once more.
         top = max(n for _, n, _ in queries)
@@ -587,14 +608,14 @@ class TestCountFromBelow:
         counts = oracle._counts[9]
         # Counts alone build no rows of size 9.
         assert len(oracle._built) == 9
-        assert sweeps.rows == Counter({n: 1 for n in range(9)})
+        assert sweeps.rows == Counter({n: 1 for n in range(1, 9)})
         assert sweeps.counted == Counter({n: 1 for n in range(1, 10)})
         rows = avoider_rows(9, "132")
         assert len(rows) == sum(row) == 4862
         avoider_rows(9, "132")
         # The avoiders of size 9 are grown alone, from the rows of size 8.
         assert len(oracle._built) == 9
-        assert sweeps.rows == Counter({n: 1 for n in range(9)})
+        assert sweeps.rows == Counter({n: 1 for n in range(1, 9)})
         assert sweeps.counted == Counter({n: 1 for n in range(1, 10)})
         assert sweeps.sets == Counter({9: 2})
         assert oracle._counts[9] is counts
@@ -606,39 +627,20 @@ class TestCountFromBelow:
             assert len(shared_sweep(m).rows) == sum(oracle._counts[m][0]), m
 
     @pytest.mark.parametrize("n, off, error", [
-        (6, 1, RuntimeError), (6, -1, ValueError), (0, 1, RuntimeError),
+        (6, 1, RuntimeError), (6, -1, ValueError), (1, 1, RuntimeError),
     ])
     def test_a_wrong_row_total_is_refused(self, sweeps, n, off, error):
         # Too many rows would leave rows of np.empty unwritten; too few
         # cannot hold the candidates kept.
         counts = oracle._grown(n)[1]
-        prev = oracle._built[n - 1] if n else None
         with pytest.raises(error):
-            oracle._step(n, prev, 0, sum(counts[0]) + off)
+            oracle._step(n, oracle._built[n - 1], 0, sum(counts[0]) + off)
 
     def test_threads_on_a_cold_size_count_it_once(self, sweeps, monkeypatch):
-        counting = oracle._histogram_from_below
-
-        def slow(n, *args):
-            time.sleep(0.05)  # widen the window in which callers overlap
-            return counting(n, *args)
-
         oracle._grown(8)
-        monkeypatch.setattr(oracle, "_histogram_from_below", slow)
-        start = threading.Barrier(8)
         sets = ALL_SETS[:8]
-
-        def worker(i):
-            start.wait(timeout=10)
-            return refined_count(9, sets[i])
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                results = list(pool.map(worker, range(8), timeout=30))
-        finally:
-            sys.setswitchinterval(interval)
+        results = overlapping(monkeypatch, "_histogram_from_below", 0.05,
+                              lambda i: refined_count(9, sets[i]))
         assert sweeps.counted == Counter({n: 1 for n in range(1, 10)})
         assert len(oracle._built) == 9
         sweep = shared_sweep(9)
