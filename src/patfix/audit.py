@@ -35,10 +35,9 @@ from .oracle import (
     avoider_rows,
     check_size,
     enumerate_avoiders,
-    fixed_points,
     refined_count,
 )
-from .perms import ALL_PATTERNS, PatternSet
+from .perms import ALL_PATTERNS, PatternSet, fixed_points
 
 __all__ = [
     "AuditReport",

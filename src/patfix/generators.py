@@ -17,16 +17,18 @@ constant head or tail is broadcast across a block, and a smaller size's
 rows are copied in, raised by a constant where the step shifts values.
 The one-parameter and wedge families write one row per parameter value
 through the same block writer.  Every family's rows then go through one
-pipeline: each row is packed into a key of int64 words, the keys are
-sorted and deduplicated, and the fixed-point histogram is counted from
-the keys alone.  Rows are gathered only when members are asked for.
+pipeline: each row is packed into a key of int64 words, and sorting and
+deduplicating the keys gives the members' indices.  The fixed-point
+histogram counts the rows as built, one column at a time as the oracle
+does, at those indices.  Rows are gathered only when members are asked
+for.
 
 Generators scale past the oracle: the default cap is 14, since every
 class here grows at most like 2^n.  A recursive family builds each size
 from the sizes below it.  The module keeps one memo: the sizes of the
 recursive family grown last, so that a table walking one family through
 n = 0, 1, 2, ... builds each size once.  Asking for another family
-replaces it.  Each size's key layout, a few small arrays, is kept too.
+replaces it.  Each size's key weights, one small array, are kept too.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .oracle import CapExceeded
-from .perms import PatternSet, Permutation, _from_rows
+from .perms import PatternSet, Permutation, _from_rows, fixed_points
 
 __all__ = [
     "GENERATOR_CAP",
@@ -308,27 +310,24 @@ def check_size(n: int, cap: int | None = None) -> None:
 
 
 @cache
-def _packing(n: int) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """How rows of size n pack into int64 keys, ``rows @ weights``: bits
-    per entry (at least 4), entries per word (fewer than 2^bits - 1; 14
-    at 4 bits), the weights, and the identity's key, whose unused low
-    fields are 1.  A word's first entry is highest: keys sort as rows."""
-    bits = max(4, (n - 1).bit_length())
-    per_word = min(63 // bits, (1 << bits) - 2)
-    words = max(1, -(-n // per_word))
-    weights = np.zeros((n, words), dtype=np.int64)
+def _weights(n: int) -> np.ndarray:
+    """How rows of size n pack into int64 keys, ``rows @ weights``:
+    ``max(1, (n-1).bit_length())`` bits an entry and ``63 // bits``
+    entries a word, a word's first entry highest, so keys sort as rows."""
+    bits = max(1, (n - 1).bit_length())
+    per_word = 63 // bits
+    weights = np.zeros((n, max(1, -(-n // per_word))), dtype=np.int64)
     for j in range(n):
         weights[j, j // per_word] = 1 << bits * (per_word - 1 - j % per_word)
-    identity = np.arange(n) @ weights
-    identity[-1] |= ((1 << bits * (words * per_word - n)) - 1) // ((1 << bits) - 1)
-    weights.flags.writeable = identity.flags.writeable = False
-    return bits, per_word, weights, identity
+    weights.flags.writeable = False
+    return weights
 
 
-def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The indices of the distinct rows in lexicographic order, and their
-    keys; 1,024 rows to a product bounds the product's int64 copy."""
-    weights = _packing(rows.shape[1])[2]
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """The indices of the distinct rows, in lexicographic order, found by
+    sorting their keys; 1,024 rows to a product bounds the product's
+    int64 copy."""
+    weights = _weights(rows.shape[1])
     keys = np.empty((len(rows), weights.shape[1]), dtype=np.int64)
     for top in range(0, len(rows), 1024):
         np.matmul(rows[top:top + 1024], weights, out=keys[top:top + 1024])
@@ -336,21 +335,7 @@ def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keys = keys[order]
     keep = np.ones(len(order), dtype=bool)
     keep[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    return order[keep], keys[keep]
-
-
-def _fixed_points(keys: np.ndarray, n: int) -> np.ndarray:
-    """Fixed points of the rows of size n with these keys: a field of
-    ``key ^ identity`` is 0 exactly at one.  Adding all ones to a field's
-    low bits carries into its top bit unless they are 0.  The unset top
-    bits, moved down, sum to the word modulo 2^bits - 1, where 2^bits is 1."""
-    bits, per_word, _, identity = _packing(n)
-    ones = ((1 << bits * per_word) - 1) // ((1 << bits) - 1)
-    low = ones * ((1 << bits - 1) - 1)
-    diff = keys ^ identity
-    nonzero = ((diff & low) + low) | diff
-    zero = (~nonzero & ones << bits - 1) >> bits - 1
-    return (zero % ((1 << bits) - 1)).sum(axis=1)
+    return order[keep]
 
 
 def _built(patterns, n: int, cap: int | None) -> np.ndarray:
@@ -367,7 +352,7 @@ def generate_rows(patterns, n: int, *, cap: int | None = None) -> np.ndarray:
     """The members of size n as 0-based rows, distinct and in
     lexicographic order, like the oracle's avoider rows."""
     rows = _built(patterns, n, cap)
-    return rows[_distinct(rows)[0]]
+    return rows[_distinct(rows)]
 
 
 def generate(patterns, n: int, *, cap: int | None = None) -> list[Permutation]:
@@ -376,7 +361,8 @@ def generate(patterns, n: int, *, cap: int | None = None) -> list[Permutation]:
 
 
 def generate_refined(patterns, n: int, *, cap: int | None = None) -> list[int]:
-    """Fixed-point histogram of :func:`generate`, indexed k = 0..n,
-    counted from the members' keys without gathering their rows."""
-    keys = _distinct(_built(patterns, n, cap))[1]
-    return np.bincount(_fixed_points(keys, n), minlength=n + 1).tolist()
+    """Fixed-point histogram of :func:`generate`, indexed k = 0..n: the
+    fixed points of the rows as built, picked out at the members'
+    indices, so no member row is gathered."""
+    rows = _built(patterns, n, cap)
+    return np.bincount(fixed_points(rows)[_distinct(rows)], minlength=n + 1).tolist()

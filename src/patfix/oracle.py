@@ -55,7 +55,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .perms import PatternSet, Permutation, _from_rows
+from .perms import PatternSet, Permutation, _from_rows, fixed_points
 
 __all__ = [
     "CapExceeded",
@@ -124,16 +124,6 @@ def _starts(n: int, v: int) -> np.ndarray:
         up and w > v + 1,  # 312
         down and w > v,  # 321
     ))) for w in range(n + 1)], dtype=np.uint8)
-
-
-def fixed_points(rows: np.ndarray) -> np.ndarray:
-    """Per row of 0-based entries, the number of fixed points (entry j at
-    column j).  One column at a time, so no temporary is larger than a
-    column."""
-    fixed = np.zeros(len(rows), dtype=np.min_scalar_type(rows.shape[1]))
-    for j in range(rows.shape[1]):
-        fixed += rows[:, j] == j
-    return fixed
 
 
 # Rows per fixed-point count and bincount.  A chunk of rows and of its

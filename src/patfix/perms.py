@@ -20,6 +20,7 @@ __all__ = [
     "Permutation",
     "SYMMETRIES",
     "apply_symmetry",
+    "fixed_points",
     "standardize",
 ]
 
@@ -123,6 +124,19 @@ def _from_rows(rows: np.ndarray) -> Iterator[Permutation]:
     return map(partial(tuple.__new__, Permutation), (rows + 1).tolist())
 
 
+def fixed_points(rows: np.ndarray) -> np.ndarray:
+    """Per row of 0-based entries, the number of fixed points (entry j at
+    column j), as ``np.min_scalar_type(n)`` for rows of size n: the
+    smallest unsigned type that holds n.  One column at a time, so no
+    temporary is larger than a column.  The one fixed-point counter of
+    every row array: the oracle's count from the size below, the
+    generator audit and the generators' refined histograms."""
+    fixed = np.zeros(len(rows), dtype=np.min_scalar_type(rows.shape[1]))
+    for j in range(rows.shape[1]):
+        fixed += rows[:, j] == j
+    return fixed
+
+
 def standardize(values: Iterable[int]) -> Permutation:
     """Replace a sequence of distinct values by their ranks.
 
@@ -186,6 +200,9 @@ class PatternSet(tuple):
             patterns = [part for part in patterns.split(",") if part.strip()]
         pats = set()
         for p in patterns:
+            if isinstance(p, int):
+                raise ValueError('a pattern set is text like "132,231" or an iterable '
+                                 f"of patterns, not a pattern's entries; got {p!r}")
             if isinstance(p, str):
                 p = Permutation.parse(p)
             elif not isinstance(p, Permutation):

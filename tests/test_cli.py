@@ -83,6 +83,32 @@ def test_formula_tables_to_60(capsys, fmt):
     assert digest.hexdigest() == FORMULA_TABLE_DIGESTS[fmt]
 
 
+def test_routes_never_reach_the_oracle(capsys, monkeypatch, sweeps):
+    # The generator, formula and gf routes answer without a sweep: the
+    # oracle entry points the CLI calls fail the test, and its caches
+    # stay at the seed.
+    def oracle_called(*args, **kwargs):
+        raise AssertionError("a route reached the oracle")
+
+    monkeypatch.setattr(cli, "refined_count", oracle_called)
+    monkeypatch.setattr(cli, "enumerate_avoiders", oracle_called)
+    commands = [["table", "--patterns", fam.patterns.canonical(), "--method", "generator",
+                 "--n-max", "14"] for fam in generators.supported_families()]
+    commands.append(["sequence", "--patterns", "231,312,321", "--method", "generator",
+                     "--k", "1", "--n-max", "14"])
+    commands += [["table", "--patterns", f.patterns.canonical(), "--method", "formula",
+                  "--n-max", "12"] for f in REGISTRY.values()]
+    commands += [["sequence", "--patterns", "231,321", "--method", "gf", "--k", "2",
+                  "--n-max", "12"], ["gf", "--k", "1", "--terms", "6"]]
+    assert len(commands) == 14 + 1 + 21 + 2
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out, argv
+    assert not (sweeps.rows or sweeps.sets or sweeps.counted)
+    assert oracle._built is oracle._SEED[0] and oracle._counts is oracle._SEED[1]
+
+
 class TestTable:
     def test_plain(self, capsys):
         code, out, _ = run(capsys, "table", "--patterns", "123,321", "--n-max", "6")

@@ -18,8 +18,8 @@ from patfix.generators import (
     generate_rows,
     supported_families,
 )
-from patfix.oracle import CapExceeded, enumerate_avoiders, fixed_points, refined_count
-from patfix.perms import PatternSet, Permutation
+from patfix.oracle import CapExceeded, enumerate_avoiders, refined_count
+from patfix.perms import PatternSet, Permutation, fixed_points
 
 FAMILIES = [fam.patterns.canonical() for fam in supported_families()]
 
@@ -143,19 +143,16 @@ class TestDeterminism:
 class TestNormaliser:
     """The packed-key sort against one ``np.lexsort`` over the columns,
     on each family's rows as built: unsorted, and repeated where a
-    printed family repeats a member.  The fixed points read from the
-    keys are checked against the rows'."""
+    printed family repeats a member."""
 
     @staticmethod
     def check(rows):
         want = lexsort_distinct(rows)
         shuffled = rows[np.random.default_rng(len(rows)).permutation(len(rows))]
         for block in (rows, shuffled):
-            members, keys = generators._distinct(block)
-            got = block[members]
+            got = block[generators._distinct(block)]
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
-            assert np.array_equal(generators._fixed_points(keys, rows.shape[1]), fixed_points(want))
 
     @pytest.mark.parametrize("patterns", FAMILIES)
     def test_every_family_to_the_cap(self, patterns):
@@ -164,7 +161,7 @@ class TestNormaliser:
 
     @pytest.mark.parametrize("patterns", ["132,321", "132,231,321", "132,213,321"])
     def test_rows_past_one_word(self, patterns):
-        # One word holds 14 entries of 4 bits; from n = 15 on a row takes
+        # One word holds 15 entries of 4 bits; from n = 16 on a row takes
         # two words and more, and from n = 17 on an entry takes 5 bits.
         for n in (15, 16, 17, 31):
             self.check(family_for(patterns).build(n))
@@ -185,9 +182,9 @@ def built(patterns, n):
 
 
 class TestRefinedFromKeys:
-    """``generate_refined`` counts fixed points from the members' keys;
-    the reference sorts the rows by packed words and counts them one
-    column at a time."""
+    """``generate_refined`` counts the fixed points of the rows as built
+    and picks out the members' counts; the reference gathers the
+    members first, sorted by packed words, and counts those."""
 
     @pytest.mark.parametrize("patterns", FAMILIES)
     def test_every_family_to_15(self, patterns):
@@ -203,19 +200,19 @@ class TestRefinedFromKeys:
         rows = built("132,213,321", 130)
         assert generate_refined("132,213,321", 130, cap=130) == refined_histogram(rows)
 
-    @pytest.mark.parametrize("n", [*range(1, 21), 31, 32, 64, 130])
+    @pytest.mark.parametrize("n", [*range(1, 21), 31, 32, 64, 130, 300])
     def test_fixed_points_in_every_layout(self, n):
         # Row r moves each position with probability r/64, so the first
-        # row is the identity, whose key matches the identity's in every
-        # used field, and the fixed-point counts spread from n down.
+        # row is the identity and the fixed-point counts spread from n
+        # down; at n = 300 a count needs uint16.
         rng = np.random.default_rng(n)
         rows = np.tile(np.arange(n, dtype=np.int16), (64, 1))
         for r, row in enumerate(rows):
             moved = np.flatnonzero(rng.random(n) < r / 64)
             row[moved] = rng.permutation(moved)
-        members, keys = generators._distinct(rows)
-        got = generators._fixed_points(keys, n)
-        assert got.tolist() == (rows[members] == np.arange(n)).sum(axis=1).tolist()
+        got = fixed_points(rows)
+        assert got.dtype == np.min_scalar_type(n)
+        assert got.tolist() == (rows == np.arange(n)).sum(axis=1).tolist()
         assert got.max() == n
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from patfix.oracle import refined_count
 from patfix.perms import (
     ALL_PATTERNS,
     PatternSet,
@@ -151,6 +152,18 @@ class TestPatternSet:
             PatternSet.parse("")
         with pytest.raises(ValueError):
             PatternSet(["12"])
+
+    def test_bare_pattern_refused(self):
+        # A pattern's entries are not patterns: a set is text or an
+        # iterable of patterns.
+        for bare in ((1, 3, 2), Permutation.parse("132"), [1, 3, 2]):
+            with pytest.raises(ValueError, match='text like "132,231"'):
+                PatternSet(bare)
+        with pytest.raises(ValueError, match="iterable of patterns"):
+            refined_count(4, Permutation.parse("132"))
+        assert PatternSet([(1, 3, 2)]) == PatternSet(["132"]) == PatternSet.parse("132")
+        with pytest.raises(TypeError):
+            PatternSet(132)
 
     def test_mask(self):
         assert PatternSet.parse("123").mask == 1
