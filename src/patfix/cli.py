@@ -1,5 +1,5 @@
-"""Command-line interface: tables, sequences, verification, class
-partitions, generating functions and avoider dumps.
+"""Command-line interface: tables and sequences read from the route
+table ``_ROUTES``, audits, classes, generating functions and avoiders.
 
 Exit codes: 0 success (and everything verified), 1 at least one audited
 item is discrepant, 2 usage error, 3 resource cap exceeded, 141 stdout
@@ -21,7 +21,7 @@ from typing import Sequence
 from . import audit as audit_mod
 from . import generators
 from .equivalence import divergence_witness, super_wilf_classes, symmetry_classes
-from .formulas import cell_text, evaluate, formula_for_patterns, formula_ids, row_text
+from .formulas import evaluate, formula_for_patterns, formula_ids, row_text
 from .genfun import gf_for_k, poly_text, series_coefficients
 from .oracle import CapExceeded, check_size, enumerate_avoiders, refined_count
 from .perms import ALL_PATTERNS, PatternSet
@@ -32,10 +32,6 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer the signal ends
 
-_METHODS_TABLE = ("oracle", "formula", "generator")
-_METHODS_SEQUENCE = ("oracle", "formula", "generator", "gf")
-# The methods that read --cap; the others have no cap to override.
-_CAP_METHODS = ("oracle", "generator")
 # Options that count something; a negative value is a usage error.
 _COUNTS = ("n_max", "k", "n", "terms", "cap")
 
@@ -69,14 +65,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="refined counts for n = 0..n-max")
     add_common(p)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--method", choices=_METHODS_TABLE, default="oracle")
+    p.add_argument("--method", choices=list(_ROUTES), default="oracle")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("sequence", help="one column of the table as a sequence in n")
     add_common(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--method", choices=_METHODS_SEQUENCE, default="oracle")
+    p.add_argument("--method", choices=list(_ROUTES), default="oracle")
     p.set_defaults(func=_cmd_sequence)
 
     p = sub.add_parser("verify", help="audit closed forms against the oracle")
@@ -132,37 +128,54 @@ def _join(cells, missing: str) -> str:
     return ",".join(missing if v is None else v for v in cells)
 
 
-def _formula_id(ps: PatternSet) -> str:
-    f = formula_for_patterns(ps)
-    if f is None:
+def _no_cap(cap: int | None) -> None:
+    if cap is not None:
+        raise UsageError("--cap applies only to --method oracle and generator")
+
+
+def _cells(row: list[int], ks) -> list[int]:
+    return [row[k] if k < len(row) else 0 for k in ks]
+
+
+def _oracle_route(ps: PatternSet, n_max: int, cap: int | None):
+    check_size(n_max, cap)
+    return lambda n, ks: _cells(refined_count(n, ps, cap=cap), ks)
+
+
+def _formula_route(ps: PatternSet, n_max: int, cap: int | None):
+    if (f := formula_for_patterns(ps)) is None:
         raise UsageError(f"no closed form is registered for {{{ps.canonical()}}}")
-    return f.formula_id
+    _no_cap(cap)
+    fid = f.formula_id
+    return lambda n, ks: [evaluate(fid, n, k) for k in ks]
 
 
-def _rows(ps: PatternSet, n_max: int, method: str, cap: int | None) -> list[list[str | None]]:
-    """Rows n = 0..n_max of the refined table by one route, as cell
-    texts (None out of domain).  The route is resolved, and an unknown
-    pattern set or an oversized n_max refused, before any work."""
-    sizes = range(n_max + 1)
-    if method == "formula":
-        fid = _formula_id(ps)
-        rows = ([evaluate(fid, n, k) for k in range(n + 1)] for n in sizes)
-    elif method == "generator":
-        if generators.family_for(ps) is None:
-            raise UsageError(
-                f"no structural generator for {{{ps.canonical()}}}; use --method oracle"
-            )
-        generators.check_size(n_max, cap)
-        rows = (generators.generate_refined(ps, n, cap=cap) for n in sizes)
-    else:
-        check_size(n_max, cap)
-        rows = (refined_count(n, ps, cap=cap) for n in sizes)
-    return [row_text(row) for row in rows]
+def _generator_route(ps: PatternSet, n_max: int, cap: int | None):
+    if generators.family_for(ps) is None:
+        raise UsageError(f"no structural generator for {{{ps.canonical()}}}; use --method oracle")
+    generators.check_size(n_max, cap)
+    return lambda n, ks: _cells(generators.generate_refined(ps, n, cap=cap), ks)
+
+
+def _gf_route(ps: PatternSet, n_max: int, cap: int | None):
+    if ps != PatternSet.parse("231,321"):
+        raise UsageError('the gf method only covers --patterns "231,321"')
+    _no_cap(cap)
+    column = functools.cache(lambda k: series_coefficients(gf_for_k(k), n_max))  # per command
+    return lambda n, ks: [column(k)[n] for k in ks]
+
+
+# --method -> route (ps, n_max, cap).  It refuses a set it has no answer
+# for, a --cap it does not read and an oversized n_max before any work,
+# then returns values(n, ks): cells (n, k) for each k in ks, 0 past the diagonal.
+_ROUTES = {"oracle": _oracle_route, "formula": _formula_route,
+           "generator": _generator_route, "gf": _gf_route}
 
 
 def _cmd_table(args) -> int:
     ps = _parse_patterns(args.patterns)
-    rows = _rows(ps, args.n_max, args.method, args.cap)
+    values = _ROUTES[args.method](ps, args.n_max, args.cap)
+    rows = [row_text(values(n, range(n + 1))) for n in range(args.n_max + 1)]
 
     def csv():
         yield ",".join(["n"] + [f"k{k}" for k in range(args.n_max + 1)])
@@ -180,29 +193,16 @@ def _cmd_table(args) -> int:
 
 def _cmd_sequence(args) -> int:
     ps = _parse_patterns(args.patterns)
-    k = args.k
-    if args.method == "gf":
-        if ps != PatternSet.parse("231,321"):
-            raise UsageError('the gf method only covers --patterns "231,321"')
-        values = [str(c) for c in series_coefficients(gf_for_k(k), args.n_max)]
-    elif args.method == "formula":
-        # One cell per size: 0 past the diagonal, or out of domain.
-        fid = _formula_id(ps)
-        values = [cell_text(evaluate(fid, n, k)) for n in range(args.n_max + 1)]
-    else:
-        # Cells past the diagonal are 0.
-        values = [
-            row[k] if k < len(row) else "0"
-            for row in _rows(ps, args.n_max, args.method, args.cap)
-        ]
+    values = _ROUTES[args.method](ps, args.n_max, args.cap)
+    column = row_text([values(n, (args.k,))[0] for n in range(args.n_max + 1)])
     _emit(args.format, {
         "patterns": ps.canonical(),
-        "k": k,
+        "k": args.k,
         "method": args.method,
         "n_max": args.n_max,
-        "values": values,
-    }, plain=lambda: [_join(values, "-")],
-       csv=lambda: ["n,value"] + [_join([str(n), v], "") for n, v in enumerate(values)])
+        "values": column,
+    }, plain=lambda: [_join(column, "-")],
+       csv=lambda: ["n,value"] + [_join([str(n), v], "") for n, v in enumerate(column)])
     return EXIT_OK
 
 
@@ -307,8 +307,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         for dest in _COUNTS:
             if (getattr(args, dest, None) or 0) < 0:
                 raise UsageError(f"--{dest.replace('_', '-')} must be nonnegative")
-        if getattr(args, "method", "oracle") not in _CAP_METHODS and args.cap is not None:
-            raise UsageError("--cap applies only to --method oracle and generator")
         code = args.func(args)
         sys.stdout.flush()
         return code

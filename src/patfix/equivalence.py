@@ -156,7 +156,8 @@ def super_wilf_classes(candidates, n_max: int, *, cap: int | None = None) -> lis
 
 def divergence_witness(a, b, n_max: int, *, cap: int | None = None) -> tuple[int, int] | None:
     """First (n, k) at which the refined tables of a and b differ, or
-    None when they agree everywhere up to n_max."""
+    None when they agree up to n_max; an oversized n_max is refused first."""
+    check_size(n_max, cap)
     pa, pb = PatternSet(a), PatternSet(b)
     for n in range(n_max + 1):
         ra = refined_count(n, pa, cap=cap)

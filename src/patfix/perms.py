@@ -9,6 +9,7 @@ pure function on immutable values and safe for concurrent use.
 from __future__ import annotations
 
 import itertools
+import numbers
 from functools import partial
 from typing import Iterable, Iterator
 
@@ -200,7 +201,7 @@ class PatternSet(tuple):
             patterns = [part for part in patterns.split(",") if part.strip()]
         pats = set()
         for p in patterns:
-            if isinstance(p, int):
+            if isinstance(p, numbers.Integral):
                 raise ValueError('a pattern set is text like "132,231" or an iterable '
                                  f"of patterns, not a pattern's entries; got {p!r}")
             if isinstance(p, str):

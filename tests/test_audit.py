@@ -22,7 +22,7 @@ from patfix.audit import (
     audit_vanishing,
     reports_to_json,
 )
-from patfix.equivalence import super_wilf_classes
+from patfix.equivalence import divergence_witness, super_wilf_classes
 from patfix.formulas import DISCREPANT, VERIFIED, formula_ids
 from patfix.oracle import DEFAULT_CAP, CapExceeded
 from patfix.perms import PatternSet, Permutation
@@ -118,8 +118,12 @@ class TestOtherItems:
         audit_super_wilf,
         audit_all,
         partial(super_wilf_classes, ["132", "213"]),
+        # One pair differs at n = 3, below the cap; the other never differs.
+        partial(divergence_witness, "123", "132"),
+        partial(divergence_witness, "132", "213"),
     ], ids=["formula", "sum-identity", "gf-sum", "small-class-bound", "vanishing",
-            "super-wilf", "all", "super-wilf-classes"])
+            "super-wilf", "all", "super-wilf-classes", "witness-differs-early",
+            "witness-agrees"])
     def test_oversized_n_max_refused_before_any_count(self, monkeypatch, sweeps, audit):
         def expand(*args, **kwargs):
             raise AssertionError("series expanded past the oracle cap")

@@ -99,8 +99,9 @@ def test_routes_never_reach_the_oracle(capsys, monkeypatch, sweeps):
     commands += [["table", "--patterns", f.patterns.canonical(), "--method", "formula",
                   "--n-max", "12"] for f in REGISTRY.values()]
     commands += [["sequence", "--patterns", "231,321", "--method", "gf", "--k", "2",
-                  "--n-max", "12"], ["gf", "--k", "1", "--terms", "6"]]
-    assert len(commands) == 14 + 1 + 21 + 2
+                  "--n-max", "12"], ["gf", "--k", "1", "--terms", "6"],
+                 ["table", "--patterns", "231,321", "--method", "gf", "--n-max", "12"]]
+    assert len(commands) == 14 + 1 + 21 + 3
     for argv in commands:
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, ""), argv
@@ -186,6 +187,16 @@ class TestTable:
         assert code == 2
         assert "closed form" in err
 
+    @pytest.mark.parametrize("fmt, method, n_max", [
+        ("plain", "oracle", "13"), ("csv", "oracle", "13"),
+        ("plain", "formula", "40"), ("csv", "formula", "40"),
+    ])
+    def test_gf_method(self, capsys, fmt, method, n_max):
+        # The gf route reads each column of the table from gf_for_k.
+        gf, other = (run(capsys, "table", "--patterns", "231,321", "--n-max", n_max,
+                         "--method", m, "--format", fmt) for m in ("gf", method))
+        assert gf == other and gf[0] == 0
+
 
 class TestSequence:
     def test_gf_method(self, capsys):
@@ -257,6 +268,26 @@ class TestSequence:
                 row[k] if k < len(row) else (None if row[0] is None else "0") for row in rows
             ]
             assert len(calls) == n_max + 1
+
+
+@pytest.mark.parametrize("patterns, method", [
+    ("231,321", "oracle"), ("231,321", "formula"), ("231,321", "generator"),
+    ("231,321", "gf"), ("123", "oracle"), ("132,213,321", "formula"),
+    ("132,213,321", "generator"),
+])
+def test_every_route_reads_a_column_of_its_table(capsys, patterns, method):
+    # sequence --k k prints column k of table, by the same route: 0 past
+    # the diagonal, and - out of domain, where the whole row is.
+    n_max = 8
+    code, out, _ = run(capsys, "table", "--patterns", patterns, "--method", method,
+                       "--n-max", str(n_max))
+    assert code == 0
+    rows = [line.split(": ")[1].split(",") for line in out.splitlines()]
+    for k in range(n_max + 2):
+        column = [row[k] if k < len(row) else ("-" if row[0] == "-" else "0") for row in rows]
+        code, out, _ = run(capsys, "sequence", "--patterns", patterns, "--method", method,
+                           "--k", str(k), "--n-max", str(n_max))
+        assert (code, out) == (0, ",".join(column) + "\n"), k
 
 
 class TestVerify:
@@ -433,6 +464,8 @@ class TestFailFast:
         (["table", "--method", "generator"], "no structural generator for {123}"),
         (["sequence", "--method", "generator", "--k", "0"], "no structural generator for {123}"),
         (["table", "--method", "formula"], "no closed form is registered for {123}"),
+        (["table", "--method", "gf"], "the gf method only covers"),
+        (["sequence", "--method", "gf", "--k", "0"], "the gf method only covers"),
     ])
     def test_unsupported_route_refused_before_the_cap_check(
         self, capsys, monkeypatch, sweeps, argv, message
@@ -475,6 +508,7 @@ class TestFailFast:
         ["table", "--method", "formula", "--n-max", "3"],
         ["sequence", "--method", "formula", "--k", "0", "--n-max", "3"],
         ["sequence", "--method", "gf", "--k", "0", "--n-max", "3"],
+        ["table", "--method", "gf", "--n-max", "3"],
     ])
     def test_cap_is_refused_where_no_route_reads_it(self, capsys, sweeps, argv):
         code, out, err = run(capsys, *argv, "--patterns", "231,321", "--cap", "1")

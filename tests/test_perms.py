@@ -156,12 +156,15 @@ class TestPatternSet:
     def test_bare_pattern_refused(self):
         # A pattern's entries are not patterns: a set is text or an
         # iterable of patterns.
-        for bare in ((1, 3, 2), Permutation.parse("132"), [1, 3, 2]):
+        for bare in ((1, 3, 2), Permutation.parse("132"), [1, 3, 2], np.array([1, 3, 2]),
+                     np.array([1, 3, 2], dtype=np.int8)):
             with pytest.raises(ValueError, match='text like "132,231"'):
                 PatternSet(bare)
         with pytest.raises(ValueError, match="iterable of patterns"):
             refined_count(4, Permutation.parse("132"))
         assert PatternSet([(1, 3, 2)]) == PatternSet(["132"]) == PatternSet.parse("132")
+        assert PatternSet([np.array([1, 3, 2])]) == PatternSet.parse("132")
+        assert PatternSet(np.array([[1, 3, 2], [2, 3, 1]])) == PatternSet.parse("132,231")
         with pytest.raises(TypeError):
             PatternSet(132)
 
