@@ -1,6 +1,7 @@
 """Cross-verification engine: every closed form, structural generator,
 generating function, recurrence and bound is compared cell by cell
-against the exhaustive oracle, which is ground truth by decree.
+against the exhaustive oracle, which is ground truth by decree, and so
+is every refined-equivalence claim, one member's table against another's.
 
 A discrepancy is a statement about the audited route, never something to
 auto-correct: the report carries the first counterexample and the repo
@@ -19,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import formulas, generators
-from .equivalence import divergence_witness, super_wilf_classes
 from .formulas import (
     DISCREPANT,
     RECURRENCES,
@@ -37,12 +37,11 @@ from .oracle import (
     enumerate_avoiders,
     refined_count,
 )
-from .perms import ALL_PATTERNS, PatternSet, fixed_points
+from .perms import ALL_PATTERNS, PatternSet, _from_rows, fixed_points
 
 __all__ = [
     "AuditReport",
     "Cell",
-    "SuperWilfAudit",
     "audit_all",
     "audit_formula",
     "audit_generator",
@@ -169,11 +168,10 @@ def audit_formula(formula_id: str, n_max: int, *, cap: int | None = None) -> Aud
 
 def audit_generator(patterns, n_max: int, *, cap: int | None = None) -> AuditReport:
     """Set equality of the structural construction against the oracle
-    enumeration, plus the refined histogram cell by cell.  The oracle's
-    cap bounds the audit, so the generator runs under it too, and an
-    oversized n_max is refused before anything is built."""
+    enumeration, plus the refined histogram cell by cell.  An oversized
+    n_max is refused before anything is built."""
     ps = PatternSet(patterns)
-    cap = check_size(n_max, cap)
+    check_size(n_max, cap)
     built = [generators.generate_rows(ps, n, cap=cap) for n in range(n_max + 1)]
     hists = [
         np.bincount(fixed_points(rows), minlength=n + 1).tolist()
@@ -184,7 +182,7 @@ def audit_generator(patterns, n_max: int, *, cap: int | None = None) -> AuditRep
     for n, rows in enumerate(built):
         if np.array_equal(rows, avoider_rows(n, ps, cap=cap)):
             continue
-        perms = set(generators.generate(ps, n, cap=cap))
+        perms = set(_from_rows(rows))
         truth = set(enumerate_avoiders(n, ps, cap=cap))
         spurious = sorted(perms - truth)
         missing = sorted(truth - perms)
@@ -218,7 +216,7 @@ def audit_gf_coefficients(n_max: int, *, cap: int | None = None) -> AuditReport:
 
     Each column is expanded once, here, apart from the formula
     registry's memo, so this stays a route of its own."""
-    cap = check_size(n_max, cap)
+    check_size(n_max, cap)
     cols = [series_coefficients(gf_for_k(k), n_max) for k in range(n_max + 1)]
     tally = _compare_cells(
         PatternSet.parse("231,321"), n_max, lambda n, k: cols[k][n], cap
@@ -303,37 +301,6 @@ def reports_to_json(reports: list[AuditReport]) -> str:
 # ---------------------------------------------------------------------------
 
 
-class SuperWilfClaim(NamedTuple):
-    name: str
-    members: tuple[str, ...]
-    holds: bool
-    witness: tuple[int, int] | None
-
-
-class SuperWilfAudit(NamedTuple):
-    n_max: int
-    claims: tuple[SuperWilfClaim, ...]
-
-    @property
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.claims)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "empirical": True,
-            "claims": [
-                {
-                    "name": c.name,
-                    "members": list(c.members),
-                    "holds": c.holds,
-                    "witness": None if c.witness is None else {"n": c.witness[0], "k": c.witness[1]},
-                }
-                for c in self.claims
-            ],
-        }
-
-
 _SUPER_WILF_CLAIMS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("singletons-132-213-321", ("132", "213", "321")),
     ("singletons-231-312", ("231", "312")),
@@ -341,19 +308,24 @@ _SUPER_WILF_CLAIMS: tuple[tuple[str, tuple[str, ...]], ...] = (
 )
 
 
-def audit_super_wilf(n_max: int, *, cap: int | None = None) -> SuperWilfAudit:
-    """Check, empirically up to n_max, the three known equivalences that
-    go beyond the symmetry group: {132}, {213}, {321} share one refined
-    table; {231}, {312} share one; and the four mixed pairs share one."""
-    checks = []
-    for name, members in _SUPER_WILF_CLAIMS:
-        sets = [PatternSet.parse(m) for m in members]
-        classes = super_wilf_classes(sets, n_max, cap=cap)
-        holds = len(classes) == 1
-        witness = None
-        if not holds:
-            a = classes[0].members[0]
-            b = classes[1].members[0]
-            witness = divergence_witness(a, b, n_max, cap=cap)
-        checks.append(SuperWilfClaim(name, members, holds, witness))
-    return SuperWilfAudit(n_max, tuple(checks))
+def audit_super_wilf(n_max: int, *, cap: int | None = None) -> list[AuditReport]:
+    """One report per known equivalence that goes beyond the symmetry
+    group: {132}, {213}, {321} share one refined table; {231}, {312}
+    share one; and the four mixed pairs share one.  Every other member's
+    count is compared with the first member's at each cell up to n_max,
+    in order of n, then member, then k."""
+    check_size(n_max, cap)
+    reports = []
+    for name, (first, *others) in _SUPER_WILF_CLAIMS:
+        tally = _Tally()
+        detail = ""
+        for n in range(n_max + 1):
+            truth = refined_count(n, first, cap=cap)
+            for member in others:
+                row = refined_count(n, member, cap=cap)
+                for k in range(n + 1):
+                    tally.compare(n, k, str(row[k]), str(truth[k]))
+                if tally.counterexample is not None and not detail:
+                    detail = f"{{{member}}} differs from {{{first}}}"
+        reports.append(tally.report(name, "equivalence", n_max, detail))
+    return reports

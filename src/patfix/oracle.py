@@ -92,12 +92,11 @@ class CapExceeded(Exception):
         super().__init__(f"size {n} exceeds the {subject} cap of {cap}{hint}")
 
 
-def check_size(n: int, cap: int | None = None) -> int:
-    """Refuse an exhaustive pass over S_n before any work is done.
-
-    Returns the effective cap: ``cap``, else :data:`DEFAULT_CAP`.  A
-    negative size or cap is a bad argument, not a refusal.  Sizes above
-    the histogram's hard limit are refused whatever the cap says.
+def check_size(n: int, cap: int | None = None) -> None:
+    """Refuse an exhaustive pass over S_n before any work is done, under
+    ``cap``, else :data:`DEFAULT_CAP`.  A negative size or cap is a bad
+    argument, not a refusal.  Sizes above the histogram's hard limit are
+    refused whatever the cap says.
     """
     limit = DEFAULT_CAP if cap is None else cap
     if min(n, limit) < 0:
@@ -106,7 +105,6 @@ def check_size(n: int, cap: int | None = None) -> int:
         raise CapExceeded(n, limit)
     if n > _HARD_LIMIT:
         raise CapExceeded(n, _HARD_LIMIT, subject="exhaustive histogram", override="")
-    return limit
 
 
 def _starts(n: int, v: int) -> np.ndarray:
@@ -317,8 +315,8 @@ def count_table(n_max: int, patterns, *, cap: int | None = None) -> CountTable:
     """Rows n = 0..n_max of refined counts.  Backed by the shared
     per-size count cache, so repeated queries never re-enumerate."""
     pats = PatternSet(patterns)
-    limit = check_size(n_max, cap)
-    rows = {n: refined_count(n, pats, cap=limit) for n in range(n_max + 1)}
+    check_size(n_max, cap)
+    rows = {n: refined_count(n, pats, cap=cap) for n in range(n_max + 1)}
     return CountTable(pats, rows)
 
 

@@ -58,10 +58,8 @@ class Permutation(tuple):
         return cls(int(ch) for ch in text)
 
     def compact(self) -> str:
-        """Canonical text form; digits while unambiguous, commas beyond."""
-        if all(v <= 9 for v in self):
-            return "".join(str(v) for v in self)
-        return ",".join(str(v) for v in self)
+        """Canonical text form; digits up to size 9, commas beyond."""
+        return ("" if len(self) <= 9 else ",").join(map(str, self))
 
     def __repr__(self) -> str:
         return f"Permutation({self.compact()!r})"

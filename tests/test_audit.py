@@ -10,6 +10,7 @@ import pytest
 from patfix import generators
 from patfix.audit import (
     ROW_LEVEL,
+    Cell,
     audit_all,
     audit_formula,
     audit_generator,
@@ -220,20 +221,43 @@ class TestAuditAll:
 
 
 class TestSuperWilfAudit:
+    IDS = ["singletons-132-213-321", "singletons-231-312", "pairs-132-213-with-231-312"]
+
     def test_claims_hold(self):
-        report = audit_super_wilf(8)
-        assert report.all_hold
-        assert [c.name for c in report.claims] == [
-            "singletons-132-213-321",
-            "singletons-231-312",
-            "pairs-132-213-with-231-312",
-        ]
+        reports = audit_super_wilf(8)
+        assert [r.item_id for r in reports] == self.IDS
+        assert all(r.kind == "equivalence" for r in reports)
+        # (members - 1) * (n_max + 1)(n_max + 2)/2 cells each.
+        assert [r.cells_checked for r in reports] == [90, 45, 135]
+        assert all(r.verified and r.detail == "" for r in reports)
 
     def test_weak_evidence_still_holds(self):
-        assert audit_super_wilf(3).all_hold
-        assert audit_super_wilf(0).all_hold
+        for n_max, cells in ((0, [2, 1, 3]), (3, [20, 10, 30])):
+            reports = audit_super_wilf(n_max)
+            assert all(r.verified for r in reports)
+            assert [r.cells_checked for r in reports] == cells
 
     def test_json_shape(self):
-        payload = audit_super_wilf(4).to_json_dict()
-        assert payload["empirical"] is True
-        assert all(c["holds"] for c in payload["claims"])
+        payload = json.loads(reports_to_json(audit_super_wilf(4)))
+        assert [item["formula"] for item in payload] == self.IDS
+        assert all(item["kind"] == "equivalence" for item in payload)
+        assert all(item["status"] == VERIFIED for item in payload)
+        assert all(item["counterexample"] is None for item in payload)
+
+    def test_false_claim_is_discrepant(self, monkeypatch):
+        monkeypatch.setattr("patfix.audit._SUPER_WILF_CLAIMS", (
+            ("false", ("123", "132")),
+            ("two-differ", ("132", "123", "231")),
+        ))
+        [report, two] = audit_super_wilf(8)
+        assert report.item_id == "false"
+        assert report.status == DISCREPANT
+        assert report.counterexample == Cell(3, 1, "2", "3")
+        c = report.counterexample
+        assert (c.n, c.k) == divergence_witness("123", "132", 8)
+        assert report.detail == "{132} differs from {123}"
+        assert report.cells_checked == 45
+        # Both members differ at n = 3; 123 comes first.
+        assert two.counterexample == Cell(3, 1, "3", "2")
+        assert two.detail == "{123} differs from {132}"
+        assert two.cells_checked == 90

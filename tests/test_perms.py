@@ -50,6 +50,10 @@ class TestPermutation:
         assert Permutation.parse("") == ()
         big = Permutation(range(1, 12))
         assert Permutation.parse(big.compact()) == big
+        # Digits up to size 9, commas from size 10 on.
+        assert Permutation(range(9, 0, -1)).compact() == "987654321"
+        assert Permutation(range(10, 0, -1)).compact() == "10,9,8,7,6,5,4,3,2,1"
+        assert Permutation.parse("10,9,8,7,6,5,4,3,2,1") == tuple(range(10, 0, -1))
         with pytest.raises(ValueError):
             Permutation.parse("x32")
 

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from patfix.audit import AuditReport, Cell, SuperWilfAudit, SuperWilfClaim, audit_formula
+from patfix.audit import AuditReport, Cell, audit_formula
 from patfix.equivalence import OrbitClass, SuperWilfClass, orbit, super_wilf_classes
 from patfix.formulas import (
     RECURRENCES,
@@ -24,8 +24,6 @@ from patfix.generators import StructuralFamily, supported_families
 from patfix.genfun import RationalGF, gf_for_k
 from patfix.oracle import CountTable, _Sweep, count_table
 
-_CLAIM = SuperWilfClaim("pair", ("132", "213"), False, (3, 1))
-
 # type, a factory for one instance, the fields in their order, and
 # whether the frozen record hashed (a dict or array field never did; the
 # mutable AuditReport had no hash).
@@ -35,8 +33,6 @@ RECORDS = [
     (AuditReport, lambda: AuditReport("thm-x", "formula", "verified", 5, 21, 0, None, 0.5),
      ("item_id", "kind", "status", "n_max", "cells_checked", "cells_skipped",
       "counterexample", "duration_s", "detail"), False),
-    (SuperWilfClaim, lambda: _CLAIM, ("name", "members", "holds", "witness"), True),
-    (SuperWilfAudit, lambda: SuperWilfAudit(6, (_CLAIM,)), ("n_max", "claims"), True),
     (OrbitClass, lambda: orbit("132,231"), ("representative", "members"), True),
     (SuperWilfClass, lambda: super_wilf_classes(["132", "213", "321"], 5)[0],
      ("members", "n_max"), True),
