@@ -31,7 +31,6 @@ from .formulas import (
     formula_ids,
     jacobsthal,
     recurrence_check,
-    sum_identity,
 )
 from .generators import (
     UnsupportedFamily,
@@ -42,7 +41,6 @@ from .generators import (
 from .genfun import RationalGF, gf_for_k, series_coefficients, sum_over_k
 from .oracle import (
     CapExceeded,
-    CountTable,
     count_table,
     enumerate_avoiders,
     refined_count,
@@ -61,7 +59,6 @@ __all__ = [
     "ALL_PATTERNS",
     "AuditReport",
     "CapExceeded",
-    "CountTable",
     "OrbitClass",
     "PatternSet",
     "Permutation",
@@ -91,7 +88,6 @@ __all__ = [
     "reports_to_json",
     "series_coefficients",
     "standardize",
-    "sum_identity",
     "sum_over_k",
     "super_wilf_classes",
     "supported_families",

@@ -1,7 +1,9 @@
 """Cross-verification engine: every closed form, structural generator,
 generating function, recurrence and bound is compared cell by cell
-against the exhaustive oracle, which is ground truth by decree, and so
-is every refined-equivalence claim, one member's table against another's.
+against the exhaustive oracle, which is ground truth by decree; so is
+every printed row total (the summed series, the summation identities,
+the monotone emptiness) against the oracle's row sums, and so is every
+refined-equivalence claim, one member's table against another's.
 
 A discrepancy is a statement about the audited route, never something to
 auto-correct: the report carries the first counterexample and the repo
@@ -15,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +31,6 @@ from .formulas import (
     evaluate,
     get_formula,
     recurrence_check,
-    sum_identity,
 )
 from .genfun import gf_for_k, series_coefficients, sum_over_k
 from .oracle import (
@@ -141,14 +143,26 @@ def _compare_cells(ps: PatternSet, n_max: int, claim, cap: int | None) -> _Tally
     return tally
 
 
-def _compare_totals(ps: PatternSet, first: int, n_max: int, claim, cap: int | None) -> _Tally:
-    """``claim(n)`` against the oracle's row total at every n in
-    first..n_max; an oversized n_max is refused before any count."""
+#: The printed row totals: item id -> (kind, pattern set, first size,
+#: total(n)), each compared with the oracle's row sums.
+_ROW_TOTALS = {
+    "gf-sum-231-321": ("genfun", "231,321", 0, lambda n: sum_over_k(n, n)[n]),
+    "sum-132-321": ("identity", "132,321", 1, lambda n: comb(n, 2) + 1),
+    "sum-231-321": ("identity", "231,321", 1, lambda n: 2 ** (n - 1)),
+    "empty-123-321": ("property", "123,321", 5, lambda n: 0),
+}
+
+
+def _audit_total(item_id: str, n_max: int, cap: int | None) -> AuditReport:
+    """A printed row total against the oracle's row sum, at k = -1, for
+    n from the row's first size to n_max; an oversized n_max is refused
+    before any count."""
+    kind, patterns, first, total = _ROW_TOTALS[item_id]
     check_size(n_max, cap)
     tally = _Tally()
     for n in range(first, n_max + 1):
-        tally.compare(n, ROW_LEVEL, str(claim(n)), str(sum(refined_count(n, ps, cap=cap))))
-    return tally
+        tally.compare(n, ROW_LEVEL, str(total(n)), str(sum(refined_count(n, patterns, cap=cap))))
+    return tally.report(item_id, kind, n_max)
 
 
 def _gen_item_id(patterns: PatternSet) -> str:
@@ -168,9 +182,12 @@ def audit_formula(formula_id: str, n_max: int, *, cap: int | None = None) -> Aud
 
 def audit_generator(patterns, n_max: int, *, cap: int | None = None) -> AuditReport:
     """Set equality of the structural construction against the oracle
-    enumeration, plus the refined histogram cell by cell.  An oversized
-    n_max is refused before anything is built."""
+    enumeration, plus the refined histogram cell by cell.  A set with no
+    structural family, then an oversized n_max, is refused before
+    anything is built."""
     ps = PatternSet(patterns)
+    if generators.family_for(ps) is None:
+        raise generators.UnsupportedFamily(ps)
     check_size(n_max, cap)
     built = [generators.generate_rows(ps, n, cap=cap) for n in range(n_max + 1)]
     hists = [
@@ -225,23 +242,18 @@ def audit_gf_coefficients(n_max: int, *, cap: int | None = None) -> AuditReport:
 
 
 def audit_gf_sum(n_max: int, *, cap: int | None = None) -> AuditReport:
-    """The summed series against the oracle row totals (which the
-    separate sum identity pins to 2^(n-1))."""
-    check_size(n_max, cap)
-    sums = sum_over_k(n_max, n_max)
-    tally = _compare_totals(
-        PatternSet.parse("231,321"), 0, n_max, lambda n: sums[n], cap
-    )
-    return tally.report("gf-sum-231-321", "genfun", n_max)
+    """The summed {231,321} series against the oracle row totals."""
+    return _audit_total("gf-sum-231-321", n_max, cap)
 
 
 def audit_sum_identity(patterns, n_max: int, *, cap: int | None = None) -> AuditReport:
-    ps = PatternSet(patterns)
-    tally = _compare_totals(
-        ps, 1, n_max, lambda n: sum_identity(ps, n), cap
-    )
-    item_id = "sum-" + ps.canonical().replace(",", "-")
-    return tally.report(item_id, "identity", n_max)
+    """A summation corollary's row total against the oracle's: C(n,2) + 1
+    for {132,321} and 2^(n-1) for {231,321}, from n = 1.  Any other set
+    is refused before any count."""
+    item_id = "sum-" + PatternSet(patterns).canonical().replace(",", "-")
+    if item_id not in _ROW_TOTALS:
+        raise ValueError(f"no summation identity registered as {item_id!r}")
+    return _audit_total(item_id, n_max, cap)
 
 
 def audit_small_class_bound(n_max: int, *, cap: int | None = None) -> AuditReport:
@@ -266,10 +278,7 @@ def audit_small_class_bound(n_max: int, *, cap: int | None = None) -> AuditRepor
 
 def audit_vanishing(n_max: int, *, cap: int | None = None) -> AuditReport:
     """No permutation of size >= 5 avoids both monotone patterns."""
-    tally = _compare_totals(
-        PatternSet.parse("123,321"), 5, n_max, lambda n: 0, cap
-    )
-    return tally.report("empty-123-321", "property", n_max)
+    return _audit_total("empty-123-321", n_max, cap)
 
 
 def audit_all(n_max: int, *, cap: int | None = None) -> list[AuditReport]:

@@ -41,7 +41,6 @@ __all__ = [
     "jacobsthal",
     "recurrence_check",
     "row_text",
-    "sum_identity",
 ]
 
 VERIFIED = "verified"
@@ -258,7 +257,8 @@ _SERIES_COLUMNS: dict[int, tuple[int, ...]] = {}
 def _eval_231_321(n: int, k: int):
     col = _SERIES_COLUMNS.get(k, ())
     if n >= len(col):
-        # Double the terms past x^k, where the column starts.
+        # Double the terms past x^k, where the column starts: extending to n
+        # alone would copy a column read one cell at a time once per cell.
         col = tuple(series_coefficients(gf_for_k(k), max(n, 2 * len(col) - k), prefix=col))
         _SERIES_COLUMNS[k] = col
     return col[n]
@@ -426,7 +426,7 @@ def evaluate(formula_id: str, n: int, k: int) -> EvalValue:
 
 
 # ---------------------------------------------------------------------------
-# recurrences and summation identities
+# recurrences
 # ---------------------------------------------------------------------------
 
 
@@ -471,34 +471,16 @@ def recurrence_check(formula_id: str, n_max: int, *, cap: int | None = None) -> 
         rec = RECURRENCES[formula_id]
     except KeyError:
         raise ValueError(f"no recurrence registered under {formula_id!r}") from None
-    table = count_table(n_max, rec.patterns, cap=cap)
+    rows = count_table(n_max, rec.patterns, cap=cap)
     checked = 0
     violations: list[tuple[int, int, int, int]] = []
     for n in range(rec.min_n, n_max + 1):
         ks = (0,) if rec.zero_fixed_only else range(n + 1)
         for k in ks:
-            lhs = table.get(n, k)
-            rhs = sum(c * table.get(n - dn, k - dk) for c, dn, dk in rec.terms)
+            lhs = rows[n][k]
+            # A count outside 0 <= k <= n is zero, by convention.
+            rhs = sum(c * rows[n - dn][k - dk] for c, dn, dk in rec.terms if 0 <= k - dk <= n - dn)
             checked += 1
             if lhs != rhs:
                 violations.append((n, k, lhs, rhs))
     return RecurrenceReport(formula_id, n_max, checked, tuple(violations))
-
-
-_SUM_IDENTITIES = {
-    PatternSet.parse("132,321"): lambda n: comb(n, 2) + 1,
-    PatternSet.parse("231,321"): lambda n: 2 ** (n - 1),
-}
-
-
-def sum_identity(patterns, n: int) -> EvalValue:
-    """Total avoider count from the summation corollaries.
-
-    Supported pattern sets: {132,321} (C(n,2) + 1) and {231,321}
-    (2^(n-1)), both for n >= 1; anything else is out of domain.
-    """
-    pats = PatternSet(patterns)
-    fn = _SUM_IDENTITIES.get(pats)
-    if fn is None or n < 1:
-        return Undefined.OUT_OF_DOMAIN
-    return fn(n)

@@ -59,7 +59,6 @@ from .perms import PatternSet, Permutation, _from_rows, fixed_points
 
 __all__ = [
     "CapExceeded",
-    "CountTable",
     "DEFAULT_CAP",
     "avoider_rows",
     "check_size",
@@ -286,38 +285,17 @@ def avoider_rows(n: int, patterns, *, cap: int | None = None) -> np.ndarray:
 
 
 def enumerate_avoiders(n: int, patterns, *, cap: int | None = None) -> Iterator[Permutation]:
-    """Yield the avoiders of ``patterns`` in S_n, each exactly once, in
-    lexicographic order."""
-    yield from _from_rows(avoider_rows(n, patterns, cap=cap))
+    """The avoiders of ``patterns`` in S_n, each exactly once, in
+    lexicographic order.  A bad set or size is refused at the call."""
+    return _from_rows(avoider_rows(n, patterns, cap=cap))
 
 
-class CountTable(NamedTuple):
-    """Refined counts for one pattern set, rows n = 0..n_max."""
-
-    patterns: PatternSet
-    rows: dict[int, list[int]]
-
-    def row(self, n: int) -> list[int]:
-        return list(self.rows[n])
-
-    def get(self, n: int, k: int) -> int:
-        """Count at (n, k), zero outside 0 <= k <= n by convention."""
-        if k < 0 or k > n:
-            return 0
-        return self.rows[n][k]
-
-    @property
-    def n_max(self) -> int:
-        return max(self.rows)
-
-
-def count_table(n_max: int, patterns, *, cap: int | None = None) -> CountTable:
-    """Rows n = 0..n_max of refined counts.  Backed by the shared
-    per-size count cache, so repeated queries never re-enumerate."""
+def count_table(n_max: int, patterns, *, cap: int | None = None) -> list[list[int]]:
+    """Rows n = 0..n_max of refined counts, each indexed by k, from the
+    shared per-size count cache, so repeated queries never re-enumerate."""
     pats = PatternSet(patterns)
     check_size(n_max, cap)
-    rows = {n: refined_count(n, pats, cap=cap) for n in range(n_max + 1)}
-    return CountTable(pats, rows)
+    return [refined_count(n, pats, cap=cap) for n in range(n_max + 1)]
 
 
 def clear_cache() -> None:

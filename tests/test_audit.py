@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 from patfix import generators
 from patfix.audit import (
+    _ROW_TOTALS,
     ROW_LEVEL,
     Cell,
     audit_all,
@@ -25,7 +27,7 @@ from patfix.audit import (
 )
 from patfix.equivalence import divergence_witness, super_wilf_classes
 from patfix.formulas import DISCREPANT, VERIFIED, formula_ids
-from patfix.oracle import DEFAULT_CAP, CapExceeded
+from patfix.oracle import DEFAULT_CAP, CapExceeded, refined_count
 from patfix.perms import PatternSet, Permutation
 
 
@@ -134,6 +136,35 @@ class TestOtherItems:
             audit(DEFAULT_CAP + 1)
         assert not (sweeps.rows or sweeps.sets or sweeps.counted)
 
+    @pytest.mark.parametrize("n", [5, DEFAULT_CAP + 1])
+    @pytest.mark.parametrize("audit, error", [
+        (partial(audit_sum_identity, "123,321"), ValueError),
+        (partial(audit_formula, "no-such"), ValueError),
+        (partial(audit_recurrence, "thm-123-321"), ValueError),
+        (partial(audit_generator, "123"), generators.UnsupportedFamily),
+    ], ids=["sum-identity", "formula", "recurrence", "generator"])
+    def test_unknown_input_refused_before_any_count(self, sweeps, audit, error, n):
+        # The input is refused first, whether or not n_max is oversized.
+        with pytest.raises(error):
+            audit(n)
+        assert not (sweeps.rows or sweeps.sets or sweeps.counted)
+
+    @pytest.mark.parametrize("item_id, audit", [
+        ("gf-sum-231-321", audit_gf_sum),
+        ("sum-132-321", partial(audit_sum_identity, "132,321")),
+        ("sum-231-321", partial(audit_sum_identity, "231,321")),
+        ("empty-123-321", audit_vanishing),
+    ], ids=["gf-sum", "sum-132-321", "sum-231-321", "empty"])
+    def test_row_total_off_by_one_is_discrepant(self, monkeypatch, item_id, audit):
+        kind, patterns, first, total = _ROW_TOTALS[item_id]
+        monkeypatch.setitem(_ROW_TOTALS, item_id,
+                            (kind, patterns, first, lambda n: total(n) + 1))
+        report = audit(7)
+        assert (report.item_id, report.kind, report.status) == (item_id, kind, DISCREPANT)
+        truth = sum(refined_count(first, patterns))
+        assert report.counterexample == Cell(first, ROW_LEVEL, str(truth + 1), str(truth))
+        assert report.cells_checked == 7 - first + 1
+
     def test_recurrence_items(self):
         for fid in ("thm-132-231", "thm-231-312", "thm-231-321", "thm3-231-312-321"):
             assert audit_recurrence(fid, 8).status == VERIFIED
@@ -161,6 +192,11 @@ class TestAuditAll:
         assert len(ids) == len(set(ids))
         for r in reports:
             assert r.status in (VERIFIED, DISCREPANT)
+
+    def test_each_row_total_reported_once(self):
+        counts = Counter(r.item_id for r in audit_all(6))
+        assert {item_id: counts[item_id] for item_id in _ROW_TOTALS} == dict.fromkeys(
+            _ROW_TOTALS, 1)
 
     def test_expected_discrepancy_set(self):
         reports = audit_all(6)

@@ -22,7 +22,6 @@ from patfix.formulas import (
     jacobsthal,
     recurrence_check,
     row_text,
-    sum_identity,
 )
 from patfix.genfun import gf_for_k, series_coefficients
 from patfix.oracle import refined_count
@@ -132,22 +131,6 @@ class TestNamedSequences:
         assert evaluate("thm-132-231", 5, 0) == 5 == jacobsthal(3)
         for n in range(2, 11):
             assert refined_count(n, "132,231")[0] == jacobsthal(n - 2)
-
-
-class TestSumIdentity:
-    def test_values(self):
-        assert sum_identity("132,321", 5) == 11
-        assert sum_identity("231,321", 4) == 8
-        assert sum_identity("231,321", 1) == 1
-
-    def test_unsupported(self):
-        assert sum_identity("123,321", 5) is Undefined.OUT_OF_DOMAIN
-        assert sum_identity("132,321", 0) is Undefined.OUT_OF_DOMAIN
-
-    def test_matches_oracle_row_sums(self):
-        for n in range(1, 9):
-            assert sum_identity("132,321", n) == sum(refined_count(n, "132,321"))
-            assert sum_identity("231,321", n) == sum(refined_count(n, "231,321"))
 
 
 class TestRecurrences:
@@ -260,7 +243,7 @@ class TestSeriesColumns:
             return rows[n][k] if 0 <= k <= n else 0
 
         for n in range(1, 81):
-            assert sum(rows[n]) == sum_identity("231,321", n) == 2 ** (n - 1)
+            assert sum(rows[n]) == 2 ** (n - 1)
         for n in range(rec.min_n, 81):
             for k in range(n + 1):
                 assert s(n, k) == sum(c * s(n - dn, k - dk) for c, dn, dk in rec.terms)

@@ -114,11 +114,9 @@ class TestSpecValues:
 
     def test_both_monotone_table(self):
         table = count_table(5, "123,321")
-        assert table.row(4) == [4, 0, 0, 0, 0]
-        assert table.row(5) == [0, 0, 0, 0, 0, 0]
-        assert table.get(4, 9) == 0
-        assert table.get(4, -1) == 0
-        assert table.n_max == 5
+        assert table == [refined_count(n, "123,321") for n in range(6)]
+        assert table[4] == [4, 0, 0, 0, 0]
+        assert table[5] == [0, 0, 0, 0, 0, 0]
 
 
 class TestAgainstNaive:
@@ -220,6 +218,14 @@ class TestCaps:
     def test_negative_cap_is_a_bad_argument_not_a_refusal(self):
         with pytest.raises(ValueError, match="cap -1 must be nonnegative"):
             refined_count(0, "123", cap=-1)
+
+    def test_enumerate_avoiders_refuses_at_the_call(self, sweeps):
+        # Neither call is iterated: the refusal comes with the call.
+        with pytest.raises(CapExceeded):
+            enumerate_avoiders(DEFAULT_CAP + 1, "123")
+        with pytest.raises(ValueError, match="length-3"):
+            enumerate_avoiders(3, "12")
+        assert not (sweeps.rows or sweeps.sets or sweeps.counted)
 
 
 class TestConcurrency:
@@ -586,7 +592,7 @@ class TestCountFromBelow:
                 return refined_count(n, ps)
             if kind == "avoider_rows":
                 return avoider_rows(n, ps).tolist()
-            return count_table(n, ps).rows
+            return count_table(n, ps)
 
         oracle._grown(11)
         expected = [answer(*q) for q in queries]
