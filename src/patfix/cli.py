@@ -123,8 +123,10 @@ def _emit(fmt: str, payload, plain, csv=None) -> None:
         print(line)
 
 
-def _join(cells, missing: str) -> str:
+def _join(cells: list, missing: str) -> str:
     """Cells as one comma-separated line, ``missing`` for None."""
+    if None not in cells:
+        return ",".join(cells)
     return ",".join(missing if v is None else v for v in cells)
 
 
@@ -162,7 +164,7 @@ def _gf_route(ps: PatternSet, n_max: int, cap: int | None):
         raise UsageError('the gf method only covers --patterns "231,321"')
     _no_cap(cap)
     column = functools.cache(lambda k: series_coefficients(gf_for_k(k), n_max))  # per command
-    return lambda n, ks: [column(k)[n] for k in ks]
+    return lambda n, ks: [column(k)[n] if k <= n else 0 for k in ks]
 
 
 # --method -> route (ps, n_max, cap).  It refuses a set it has no answer

@@ -65,14 +65,13 @@ def cell_text(value: EvalValue) -> str | None:
 
 
 def row_text(row) -> list[str | None]:
-    """:func:`cell_text` of each value of a row; at once for all ints.
+    """:func:`cell_text` of each value of a row, in one pass that turns
+    an int into text directly.
 
     >>> row_text([1, Undefined.NON_INTEGRAL, Undefined.OUT_OF_DOMAIN])
     ['1', 'non-integral', None]
     """
-    if set(map(type, row)) <= {int}:
-        return list(map(str, row))
-    return [cell_text(v) for v in row]
+    return [str(v) if type(v) is int else cell_text(v) for v in row]
 
 
 @lru_cache(maxsize=None)
@@ -390,6 +389,9 @@ def _registry() -> dict[str, Formula]:
 
 REGISTRY: dict[str, Formula] = _registry()
 
+# Each id's (min_n, fn), so that evaluate finds both with one lookup.
+_RULES = {fid: (f.min_n, f.fn) for fid, f in REGISTRY.items()}
+
 
 def formula_ids() -> tuple[str, ...]:
     return tuple(REGISTRY)
@@ -416,12 +418,15 @@ def evaluate(formula_id: str, n: int, k: int) -> EvalValue:
     ``Undefined.NON_INTEGRAL`` if exact evaluation fails to produce an
     integer, which would indicate a transcription bug.
     """
-    f = REGISTRY.get(formula_id) or get_formula(formula_id)
-    if n < f.min_n:
+    try:
+        min_n, fn = _RULES[formula_id]
+    except KeyError:
+        raise ValueError(f"unknown formula id {formula_id!r}") from None
+    if n < min_n:
         return Undefined.OUT_OF_DOMAIN
     if k < 0 or k > n:
         return 0
-    value = f.fn(n, k)
+    value = fn(n, k)
     return value if type(value) is int else _as_int(value)
 
 

@@ -9,9 +9,9 @@ members, the generator keeps the printed form and the audit records the
 divergence from the oracle (see DISCREPANCIES.md for the one known
 case).
 
-The members of size n are one integer array with a member per row,
-holding 0-based values as the oracle's rows do: entry v of a member is
-v - 1 in its row.  Docstrings give the constructions in 1-based values,
+The members of size n are one column-major integer array with a
+member per row, holding 0-based values as the oracle's rows do: entry v
+of a member is v - 1 in its row.  Docstrings give the constructions in 1-based values,
 as printed.  A recursive step writes each size's rows in blocks: a
 constant head or tail is broadcast across a block, and a smaller size's
 rows are copied in, raised by a constant where the step shifts values.
@@ -19,9 +19,8 @@ The one-parameter and wedge families write one row per parameter value
 through the same block writer.  Every family's rows then go through one
 pipeline: each row is packed into a key of int64 words, and sorting and
 deduplicating the keys gives the members' indices.  The fixed-point
-histogram counts the rows as built, one column at a time as the oracle
-does, at those indices.  Rows are gathered only when members are asked
-for.
+histogram counts the rows as built, with the oracle's counter, at those
+indices.  Rows are gathered only when members are asked for.
 
 Generators scale past the oracle: the default cap is 14, since every
 class here grows at most like 2^n.  A recursive family builds each size
@@ -34,6 +33,7 @@ replaces it.  Each size's key weights, one small array, are kept too.
 from __future__ import annotations
 
 from functools import cache, partial
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -86,26 +86,24 @@ def _stack(n: int, blocks) -> np.ndarray:
     pieces placed left to right: an array of rows gives each of the
     block's rows its own entries, and a tuple of values gives every row
     the same ones.  A block of tuples alone is one row; those rows are
-    written at once, after the others."""
+    written at once, after the others.  The array is column-major, so
+    that a piece's columns are written down the block's rows."""
     shared, fixed = [], []
     for pieces in blocks:
-        if np.ndarray in map(type, pieces):
-            shared.append(pieces)
-        else:
-            fixed.append(sum(pieces, ()))
-    counts = [next(len(p) for p in pieces if isinstance(p, np.ndarray)) for pieces in shared]
-    out = np.empty((sum(counts) + len(fixed), n), dtype=_ROW)
+        (shared if np.ndarray in map(type, pieces) else fixed).append(pieces)
+    counts = [next(len(p) for p in pieces if type(p) is np.ndarray) for pieces in shared]
+    out = np.empty((sum(counts) + len(fixed), n), dtype=_ROW, order="F")
     top = 0
     for pieces, count in zip(shared, counts):
-        rows = out[top:top + count]
         left = 0
         for piece in pieces:
-            width = piece.shape[1] if isinstance(piece, np.ndarray) else len(piece)
-            rows[:, left:left + width] = piece
+            width = piece.shape[1] if type(piece) is np.ndarray else len(piece)
+            out[top:top + count, left:left + width] = piece
             left += width
         top += count
     if fixed:
-        out[top:] = fixed
+        values = chain.from_iterable(chain.from_iterable(fixed))
+        out[top:] = np.fromiter(values, _ROW, len(fixed) * n).reshape(len(fixed), n)
     return out
 
 
@@ -311,30 +309,36 @@ def check_size(n: int, cap: int | None = None) -> None:
 
 @cache
 def _weights(n: int) -> np.ndarray:
-    """How rows of size n pack into int64 keys, ``rows @ weights``:
+    """How rows of size n pack into int64 keys, ``weights @ rows.T``:
     ``max(1, (n-1).bit_length())`` bits an entry and ``63 // bits``
-    entries a word, a word's first entry highest, so keys sort as rows."""
+    entries a word, a word's first entry highest, so keys sort as rows.
+    One row of weights a word; a vector where one word holds a row
+    (n <= 15), so that each key is one int64."""
     bits = max(1, (n - 1).bit_length())
     per_word = 63 // bits
-    weights = np.zeros((n, max(1, -(-n // per_word))), dtype=np.int64)
+    weights = np.zeros((max(1, -(-n // per_word)), n), dtype=np.int64)
     for j in range(n):
-        weights[j, j // per_word] = 1 << bits * (per_word - 1 - j % per_word)
+        weights[j // per_word, j] = 1 << bits * (per_word - 1 - j % per_word)
+    if len(weights) == 1:
+        weights = weights[0]
     weights.flags.writeable = False
     return weights
 
 
 def _distinct(rows: np.ndarray) -> np.ndarray:
     """The indices of the distinct rows, in lexicographic order, found by
-    sorting their keys; 1,024 rows to a product bounds the product's
-    int64 copy."""
+    sorting their keys: one int64 each by a stable argsort, several words
+    by ``np.lexsort``.  1,024 rows to a product bounds the product's
+    int64 copy, and it reads the column-major rows down their columns."""
     weights = _weights(rows.shape[1])
-    keys = np.empty((len(rows), weights.shape[1]), dtype=np.int64)
+    keys = np.empty((*weights.shape[:-1], len(rows)), dtype=np.int64)
     for top in range(0, len(rows), 1024):
-        np.matmul(rows[top:top + 1024], weights, out=keys[top:top + 1024])
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
+        np.matmul(weights, rows[top:top + 1024].T, out=keys[..., top:top + 1024])
+    order = keys.argsort(kind="stable") if keys.ndim == 1 else np.lexsort(keys[::-1])
+    keys = keys[..., order]
+    differs = keys[..., 1:] != keys[..., :-1]
     keep = np.ones(len(order), dtype=bool)
-    keep[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    keep[1:] = differs if keys.ndim == 1 else differs.any(axis=0)
     return order[keep]
 
 

@@ -131,6 +131,18 @@ class TestTable:
         assert payload["patterns"] == "231,321"
         assert payload["rows"][4]["counts"] == ["2", "2", "3", "0", "1"]
 
+    def test_formula_table_evaluates_each_cell_once(self, capsys, monkeypatch):
+        # One cli.evaluate call per cell, 91 for n = 0..12, as the
+        # benchmark's traced formulas.evaluate.calls counts them; a row
+        # at a time would change that count.
+        calls = []
+        monkeypatch.setattr(cli, "evaluate", lambda *a: calls.append(a) or formulas.evaluate(*a))
+        code, _, _ = run(capsys, "table", "--patterns", "231,321", "--method", "formula",
+                         "--n-max", "12")
+        assert code == 0
+        assert len(calls) == 91
+        assert calls == [("thm-231-321", n, k) for n in range(13) for k in range(n + 1)]
+
     def test_csv_padding(self, capsys):
         code, out, _ = run(capsys, "table", "--patterns", "231,312", "--n-max", "3",
                            "--format", "csv")
@@ -204,6 +216,19 @@ class TestSequence:
                            "--n-max", "7", "--method", "gf")
         assert code == 0
         assert out.strip() == "1,0,1,1,2,3,5,8"
+
+    def test_gf_column_past_n_max_builds_no_series(self, capsys, monkeypatch):
+        # Column k starts at size k, so a column with k > n-max is all 0
+        # and needs no generating function.
+        def refuse(k):
+            raise AssertionError(f"gf_for_k({k}) was built")
+
+        monkeypatch.setattr(cli, "gf_for_k", refuse)
+        for k in ("6", "20000"):
+            code, out, _ = run(capsys, "sequence", "--patterns", "231,321", "--method", "gf",
+                               "--k", k, "--n-max", "5")
+            assert code == 0
+            assert out.strip() == "0,0,0,0,0,0"
 
     def test_gf_method_restricted(self, capsys):
         code, _, err = run(capsys, "sequence", "--patterns", "123,132", "--k", "0",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import lexsort_distinct, refined_histogram
 
-from patfix import generators
+from patfix import generators, oracle, perms
 from patfix.formulas import evaluate, formula_ids, get_formula
 from patfix.generators import (
     GENERATOR_CAP,
@@ -167,9 +167,12 @@ class TestNormaliser:
             self.check(family_for(patterns).build(n))
 
     def test_repeated_rows(self):
-        rows = family_for(DEFICIENT).build(9)
-        assert len(lexsort_distinct(rows)) < len(rows)
-        self.check(rows)
+        # A row of size 15 is one key word, sorted as a 1-D key; one of
+        # size 16 takes two words.
+        for n in (9, 15, 16):
+            rows = family_for(DEFICIENT).build(n)
+            assert len(lexsort_distinct(rows)) < len(rows)
+            self.check(rows)
 
     def test_no_rows(self):
         for n in (1, 5, 17):
@@ -214,6 +217,21 @@ class TestRefinedFromKeys:
         assert got.dtype == np.min_scalar_type(n)
         assert got.tolist() == (rows == np.arange(n)).sum(axis=1).tolist()
         assert got.max() == n
+
+    @pytest.mark.parametrize("count", [perms._SHORT, perms._SHORT + 1, oracle._CHUNK])
+    def test_fixed_points_either_side_of_its_shape_choice(self, count):
+        # Row-major, up to perms._SHORT rows are compared at once and more
+        # a column at a time; the oracle counts chunks of oracle._CHUNK
+        # rows.  Column-major, as the generators' int16 rows are, every
+        # array is compared at once.  Every fifth row is the identity.
+        n = 13
+        rows = np.random.default_rng(count).integers(0, n, (count, n), dtype=np.int8)
+        rows[::5] = np.arange(n)
+        want = (rows == np.arange(n)).sum(axis=1).tolist()
+        for layout in (rows, np.asfortranarray(rows, dtype=np.int16)):
+            got = fixed_points(layout)
+            assert got.dtype == np.min_scalar_type(n)
+            assert got.tolist() == want
 
 
 class TestGrowMemo:
