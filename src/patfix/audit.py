@@ -106,7 +106,11 @@ class _Tally:
         self.skipped = 0
         self.counterexample: Cell | None = None
 
-    def compare(self, n: int, k: int, claimed: str, oracle: str) -> None:
+    def compare(self, n: int, k: int, claimed: str | None, oracle: str) -> None:
+        """One cell; a claim of None is out of domain and skipped."""
+        if claimed is None:
+            self.skipped += 1
+            return
         self.checked += 1
         if claimed != oracle and self.counterexample is None:
             self.counterexample = Cell(n, k, claimed, oracle)
@@ -135,11 +139,7 @@ def _compare_cells(ps: PatternSet, n_max: int, claim, cap: int | None) -> _Tally
     for n in range(n_max + 1):
         row = refined_count(n, ps, cap=cap)
         for k in range(n + 1):
-            claimed = cell_text(claim(n, k))
-            if claimed is None:
-                tally.skipped += 1
-                continue
-            tally.compare(n, k, claimed, str(row[k]))
+            tally.compare(n, k, cell_text(claim(n, k)), str(row[k]))
     return tally
 
 
@@ -211,13 +211,13 @@ def audit_generator(patterns, n_max: int, *, cap: int | None = None) -> AuditRep
         )
         if tally.counterexample is None:
             # Same histogram but different members; surface it anyway.
-            tally.counterexample = Cell(n, ROW_LEVEL, first_spurious, first_missing)
-            tally.checked += 1
+            tally.compare(n, ROW_LEVEL, first_spurious, first_missing)
         break
     return tally.report(_gen_item_id(ps), "generator", n_max, detail)
 
 
 def audit_recurrence(formula_id: str, n_max: int, *, cap: int | None = None) -> AuditReport:
+    # The one tally not kept by compare: recurrence_check counts its cells.
     rep = recurrence_check(formula_id, n_max, cap=cap)
     tally = _Tally()
     tally.checked = rep.cells_checked
@@ -266,13 +266,11 @@ def audit_small_class_bound(n_max: int, *, cap: int | None = None) -> AuditRepor
         for combo in itertools.combinations(ALL_PATTERNS, size):
             ps = PatternSet(combo)
             for n in range(n_max + 1):
-                row = refined_count(n, ps, cap=cap)
-                for k in range(n + 1):
-                    ok = row[k] in (0, 1, 2)
-                    tally.checked += 1
-                    if not ok and tally.counterexample is None:
-                        tally.counterexample = Cell(n, k, "0|1|2", str(row[k]))
-                        detail = f"violated by {{{ps.canonical()}}}"
+                for k, count in enumerate(refined_count(n, ps, cap=cap)):
+                    text = str(count)
+                    tally.compare(n, k, text if count <= 2 else "0|1|2", text)
+            if tally.counterexample is not None and not detail:
+                detail = f"violated by {{{ps.canonical()}}}"
     return tally.report("bound-size-ge-4", "property", n_max, detail)
 
 

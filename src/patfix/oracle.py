@@ -34,8 +34,9 @@ masks and start table of the size below.  A candidate's fixed points
 follow from its parent row and its first entry v: it has one at position
 0 iff v = 0, and one at position j + 1 iff the parent's entry j is j
 with j >= v, or is j + 1 with j <= v - 2.  So one running count per
-parent row, moved from v - 1 to v by two of its columns, gives the fixed
-points of every candidate, and the kept candidates give the size's
+parent row, started from its tests of r[j] = j (each made once and kept)
+and moved from v - 1 to v by two of its columns, gives the fixed points
+of every candidate, and the kept candidates give the size's
 histogram and the length of its rows.  A size's shared rows are built
 only to count the next size, so a query up to size n keeps them up to
 size max(n - 1, 0) only.  The avoiders of T at a size below the largest
@@ -55,7 +56,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .perms import PatternSet, Permutation, _from_rows, fixed_points
+from .perms import PatternSet, Permutation, _from_rows
 
 __all__ = [
     "CapExceeded",
@@ -65,7 +66,6 @@ __all__ = [
     "clear_cache",
     "count_table",
     "enumerate_avoiders",
-    "fixed_points",
     "refined_count",
 ]
 
@@ -199,13 +199,17 @@ def _histogram_from_below(n: int, prev: _Sweep) -> np.ndarray:
     for start in range(0, len(prev.rows), _CHUNK):
         part = slice(start, start + _CHUNK)
         rows, masks, table = prev.rows[part], prev.masks[part], prev.table[part]
-        fixed = fixed_points(rows) + 1  # candidate 0
+        # Where r[j] = j, each column of the chunk tested once.
+        fixed_at = [rows[:, j] == j for j in range(n - 1)]
+        fixed = np.ones(len(rows), dtype=np.uint8)  # candidate 0
+        for column in fixed_at:
+            fixed += column
         for v in range(n):
             if v:
                 # From candidate v - 1 to v, position v stops being fixed
                 # where r[v-1] = v - 1, and position v - 1 starts where
                 # r[v-2] = v - 1 (position 0 stops, at v = 1).
-                fixed -= rows[:, v - 1] == v - 1
+                fixed -= fixed_at[v - 1]
                 if v > 1:
                     fixed += rows[:, v - 2] == v - 1
                 else:

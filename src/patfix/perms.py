@@ -123,28 +123,14 @@ def _from_rows(rows: np.ndarray) -> Iterator[Permutation]:
     return map(partial(tuple.__new__, Permutation), (rows + 1).tolist())
 
 
-# Up to this many rows one comparison over the whole array beats one per
-# column (on a 2-core Xeon, 14 entries a row: 3 us against 20 us for 14
-# rows); past it the columns win row-major (110 us against 213 us for
-# 8,192 rows), but not column-major (36 us against 16 us).
-_SHORT = 1024
-
-
 def fixed_points(rows: np.ndarray) -> np.ndarray:
     """Per row of 0-based entries, the number of fixed points (entry j at
     column j), as ``np.min_scalar_type(n)`` for rows of size n: the
-    smallest unsigned type that holds n.  A short or column-major array
-    is compared with 0..n-1 at once, a tall row-major one a column at a
-    time.  The one fixed-point counter of every row array: the oracle's
-    count from the size below, the generator audit and the generators'
+    smallest unsigned type that holds n.  One comparison with 0..n-1,
+    the fixed-point counter of the generator audit and the generators'
     refined histograms."""
     n = rows.shape[1]
-    if len(rows) <= _SHORT or rows.flags.f_contiguous:
-        return (rows == np.arange(n, dtype=rows.dtype)).sum(axis=1, dtype=np.min_scalar_type(n))
-    fixed = np.zeros(len(rows), dtype=np.min_scalar_type(n))
-    for j in range(n):
-        fixed += rows[:, j] == j
-    return fixed
+    return (rows == np.arange(n, dtype=rows.dtype)).sum(axis=1, dtype=np.min_scalar_type(n))
 
 
 def standardize(values: Iterable[int]) -> Permutation:

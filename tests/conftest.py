@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from patfix import oracle
-from patfix.perms import PatternSet
+from patfix.perms import PatternSet, fixed_points
 
 
 def chunk_stats(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,9 +106,10 @@ def packed_sorted_distinct(rows: np.ndarray) -> np.ndarray:
 
 def refined_histogram(rows: np.ndarray) -> list[int]:
     """Fixed-point histogram of the distinct rows of ``rows``, indexed
-    k = 0..n: the packed-word normaliser, then one column at a time."""
+    k = 0..n: the packed-word normaliser, then the package's one
+    fixed-point counter."""
     n = rows.shape[1]
-    return np.bincount(oracle.fixed_points(packed_sorted_distinct(rows)), minlength=n + 1).tolist()
+    return np.bincount(fixed_points(packed_sorted_distinct(rows)), minlength=n + 1).tolist()
 
 
 def orbit_by_closure(patterns) -> tuple:

@@ -26,7 +26,7 @@ from patfix.audit import (
     reports_to_json,
 )
 from patfix.equivalence import divergence_witness, super_wilf_classes
-from patfix.formulas import DISCREPANT, VERIFIED, formula_ids
+from patfix.formulas import DISCREPANT, RECURRENCES, VERIFIED, formula_ids
 from patfix.oracle import DEFAULT_CAP, CapExceeded, refined_count
 from patfix.perms import PatternSet, Permutation
 
@@ -164,6 +164,34 @@ class TestOtherItems:
         truth = sum(refined_count(first, patterns))
         assert report.counterexample == Cell(first, ROW_LEVEL, str(truth + 1), str(truth))
         assert report.cells_checked == 7 - first + 1
+
+    def test_small_class_bound_reports_its_first_violation(self, monkeypatch):
+        # {123,132,213,231} is the first set of four; n = 4, k = 0 its
+        # first cell past the bound, and every later cell is still counted.
+        bad = PatternSet.parse("123,132,213,231")
+
+        def count(n, patterns, *, cap=None):
+            row = refined_count(n, patterns, cap=cap)
+            return [3, *row[1:]] if (n, PatternSet(patterns)) == (4, bad) else row
+
+        monkeypatch.setattr("patfix.audit.refined_count", count)
+        report = audit_small_class_bound(6)
+        assert report.status == DISCREPANT
+        assert report.counterexample == Cell(4, 0, "0|1|2", "3")
+        assert report.detail == "violated by {123,132,213,231}"
+        # 22 sets of four or more patterns, 28 cells each.
+        assert report.cells_checked == 616
+
+    def test_recurrence_reports_claimed_then_oracle(self, monkeypatch):
+        rec = RECURRENCES["thm-231-312"]
+        monkeypatch.setitem(RECURRENCES, "thm-231-312",
+                            rec._replace(terms=((3, 2, 0), (1, 1, 1))))
+        report = audit_recurrence("thm-231-312", 6)
+        assert report.status == DISCREPANT
+        # The recurrence's right-hand side is the claim, the oracle's
+        # count the truth.
+        assert report.counterexample == Cell(3, 1, "4", "3")
+        assert report.cells_checked == 22
 
     def test_recurrence_items(self):
         for fid in ("thm-132-231", "thm-231-312", "thm-231-321", "thm3-231-312-321"):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import lexsort_distinct, refined_histogram
 
-from patfix import generators, oracle, perms
+from patfix import generators
 from patfix.formulas import evaluate, formula_ids, get_formula
 from patfix.generators import (
     GENERATOR_CAP,
@@ -218,17 +218,21 @@ class TestRefinedFromKeys:
         assert got.tolist() == (rows == np.arange(n)).sum(axis=1).tolist()
         assert got.max() == n
 
-    @pytest.mark.parametrize("count", [perms._SHORT, perms._SHORT + 1, oracle._CHUNK])
+    @pytest.mark.parametrize("count", [1, 1024, 1025, 1 << 15])
     def test_fixed_points_either_side_of_its_shape_choice(self, count):
-        # Row-major, up to perms._SHORT rows are compared at once and more
-        # a column at a time; the oracle counts chunks of oracle._CHUNK
-        # rows.  Column-major, as the generators' int16 rows are, every
-        # array is compared at once.  Every fifth row is the identity.
+        # One comparison counts every height and layout: row-major int8
+        # as the oracle keeps its rows, column-major int16 as the
+        # generators build theirs, and the C-order int16 rows that
+        # generate_rows gathers from those.  Every fifth row is the
+        # identity.
         n = 13
         rows = np.random.default_rng(count).integers(0, n, (count, n), dtype=np.int8)
         rows[::5] = np.arange(n)
         want = (rows == np.arange(n)).sum(axis=1).tolist()
-        for layout in (rows, np.asfortranarray(rows, dtype=np.int16)):
+        column_major = np.asfortranarray(rows, dtype=np.int16)
+        gathered = column_major[np.arange(count)]
+        assert gathered.flags.c_contiguous
+        for layout in (rows, column_major, gathered):
             got = fixed_points(layout)
             assert got.dtype == np.min_scalar_type(n)
             assert got.tolist() == want

@@ -626,6 +626,15 @@ class TestCountFromBelow:
         assert sweeps.sets == Counter({9: 2})
         assert oracle._counts[9] is counts
 
+    def test_counts_do_not_depend_on_the_chunk_size(self, sweeps, monkeypatch):
+        # Chunks of 7 rows split every size from 4 on, most with a short
+        # last chunk, so each chunk's column tests start over many times.
+        default = [oracle._grown(n)[1] for n in range(10)]
+        oracle.clear_cache()
+        monkeypatch.setattr(oracle, "_CHUNK", 7)
+        assert [oracle._grown(n)[1] for n in range(10)] == default
+        assert sweeps.counted == Counter({n: 2 for n in range(1, 10)})
+
     def test_the_counts_give_the_number_of_rows(self, sweeps):
         # Row 0 of a count table is the empty pattern mask, which every
         # kept row misses; the rows are written into arrays of that size.
