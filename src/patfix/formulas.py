@@ -17,7 +17,8 @@ from functools import lru_cache
 from math import comb
 from typing import TYPE_CHECKING, Callable, NamedTuple, Union
 
-from .genfun import gf_for_k, series_coefficients
+# Not called here, but bound: the benchmark's tracer wraps it in every module that holds it.
+from .genfun import series_coefficients
 from .oracle import count_table
 from .perms import PatternSet
 
@@ -246,21 +247,49 @@ def _eval_231_312(n: int, k: int):
     return _ratio(binoms, 2**-e)
 
 
-#: k -> the coefficients of gf_for_k(k) expanded so far, for the life of
-#: the process.  A column is continued from its terms, never expanded
-#: again, and only replaced whole by a complete tuple, so readers need no
-#: lock; of two threads extending one column, the later write wins.
+#: k -> column k, the coefficients of gf_for_k(k) from x^k on, as far as
+#: computed, for the life of the process.  A column is only replaced whole
+#: by a complete tuple, so readers need no lock; of two threads extending
+#: one column, the later write wins.
 _SERIES_COLUMNS: dict[int, tuple[int, ...]] = {}
 
 
 def _eval_231_321(n: int, k: int):
+    """[x^n] x^k (1-x)^(k+1) / (1-x-x^2)^(k+1), read by the column rule.
+
+    With D = 1-x-x^2 that is ((1-x)/D) (x(1-x)/D)^k, so column k satisfies
+    D C_k = x(1-x) C_{k-1}, and D C_0 = 1-x; from x^k on, the terms are
+    d_k[i] = d_k[i-1] + d_k[i-2] + d_{k-1}[i] - d_{k-1}[i-1], with column
+    -1 standing for the numerator 1 - x.
+
+    >>> from patfix.genfun import gf_for_k
+    >>> [_eval_231_321(n, 2) for n in range(2, 9)] == series_coefficients(gf_for_k(2), 8)[2:]
+    True
+    """
+    i = n - k
     col = _SERIES_COLUMNS.get(k, ())
-    if n >= len(col):
-        # Double the terms past x^k, where the column starts: extending to n
-        # alone would copy a column read one cell at a time once per cell.
-        col = tuple(series_coefficients(gf_for_k(k), max(n, 2 * len(col) - k), prefix=col))
-        _SERIES_COLUMNS[k] = col
-    return col[n]
+    if i >= len(col):
+        # Double the terms: extending to i alone would copy a column read
+        # one cell at a time once per cell.
+        m = max(i + 1, 2 * len(col))
+        # Walk down to the first column that is long enough, then extend
+        # the ones above it in turn; a loop, since k has no cap.
+        j = k
+        while len(col) < m:
+            j -= 1
+            col = _SERIES_COLUMNS.get(j, ()) if j >= 0 else (1,) + (0,) * (m - 1)
+        for j in range(j + 1, k + 1):
+            # Continue column j from its stored terms (at most m, so that
+            # column j - 1 covers them), behind zeros for d_j[-2], d_j[-1].
+            terms = [0, 0, *_SERIES_COLUMNS.get(j, ())[:m]]
+            t = len(terms) - 2
+            d2, d1 = terms[-2:]
+            before = col[t - 1] if t else 0
+            for c in col[t:m]:
+                d1, d2, before = d1 + d2 + c - before, d1, c
+                terms.append(d1)
+            col = _SERIES_COLUMNS[j] = tuple(terms[2:])
+    return col[i]
 
 
 # ---------------------------------------------------------------------------

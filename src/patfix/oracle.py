@@ -51,6 +51,7 @@ process the rows quickly.
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Iterator, NamedTuple
 
@@ -106,21 +107,24 @@ def check_size(n: int, cap: int | None = None) -> None:
         raise CapExceeded(n, _HARD_LIMIT, subject="exhaustive histogram", override="")
 
 
-def _starts(n: int, v: int) -> np.ndarray:
-    """For a row of size n whose first entry is v, the mask of the
+@functools.cache
+def _starts(n: int) -> np.ndarray:
+    """Row v: for a row of size n whose first entry is v, the mask of the
     patterns that start at a new first entry w = 0..n with v second and
     some later entry x third, in the order of ALL_PATTERNS.  The row's
     later entries are every value but v, so some x is above v iff
-    v < n - 1 and below v iff v > 0."""
-    up, down = v < n - 1, v > 0
-    return np.array([sum(bit << i for i, bit in enumerate((
-        up and w <= v,  # 123
-        down and w < v,  # 132
-        up and v < w < n,  # 213
-        down and 0 < w <= v,  # 231
-        up and w > v + 1,  # 312
-        down and w > v,  # 321
-    ))) for w in range(n + 1)], dtype=np.uint8)
+    v < n - 1 and below v iff v > 0.  Shared by every call, so read-only."""
+    masks = np.array([[
+        (up and w <= v)  # 123
+        | (down and w < v) << 1  # 132
+        | (up and v < w < n) << 2  # 213
+        | (down and 0 < w <= v) << 3  # 231
+        | (up and w > v + 1) << 4  # 312
+        | (down and w > v) << 5  # 321
+        for w in range(n + 1)
+    ] for v, up, down in ((v, v < n - 1, v > 0) for v in range(n))], dtype=np.uint8)
+    masks.flags.writeable = False
+    return masks
 
 
 # Rows per fixed-point count and bincount.  A chunk of rows and of its
@@ -162,6 +166,7 @@ def _step(n: int, prev: _Sweep, tmask: int, total: int) -> _Sweep | np.ndarray:
     if not tmask:
         masks = np.zeros(total, dtype=np.uint8)
         table = np.zeros((total, n + 1), dtype=np.uint8)
+        starts = _starts(n)
     end = 0
     for v in range(n):
         candidates = prev.masks | prev.table[:, v]
@@ -180,7 +185,7 @@ def _step(n: int, prev: _Sweep, tmask: int, total: int) -> _Sweep | np.ndarray:
             parent = prev.table.take(keep, axis=0)
             table[part, :v + 1] = parent[:, :v + 1]
             table[part, v + 1:] = parent[:, v:]
-            table[part] |= _starts(n, v)
+            table[part] |= starts[v]
     if end != total:
         raise RuntimeError(f"size {n} keeps {end} rows, but {total} were counted")
     if tmask:

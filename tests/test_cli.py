@@ -230,6 +230,14 @@ class TestSequence:
             assert code == 0
             assert out.strip() == "0,0,0,0,0,0"
 
+    @pytest.mark.parametrize("k", ["0", "1", "7", "30"])
+    def test_formula_and_gf_agree_deep(self, capsys, k):
+        # The formula route reads the generating function by its column
+        # rule and the gf route by long division: two computations.
+        formula, gf = (run(capsys, "sequence", "--patterns", "231,321", "--k", k,
+                           "--n-max", "150", "--method", m) for m in ("formula", "gf"))
+        assert formula == gf and formula[0] == 0
+
     def test_gf_method_restricted(self, capsys):
         code, _, err = run(capsys, "sequence", "--patterns", "123,132", "--k", "0",
                            "--n-max", "5", "--method", "gf")

@@ -150,14 +150,16 @@ class TestRecurrences:
             recurrence_check("thm-123-321", 5)
 
 
-SERIES_N = 60
+SERIES_N = 120
 SERIES_CELLS = [(n, k) for n in range(SERIES_N + 1) for k in range(n + 1)]
 
 
 @pytest.fixture(scope="module")
 def series_reference():
-    """Every {231,321} cell to n = 60, one series expansion per cell."""
-    return {(n, k): series_coefficients(gf_for_k(k), n)[n] for n, k in SERIES_CELLS}
+    """Every {231,321} cell to n = 120, from the printed generating
+    function expanded by long division, one expansion per column."""
+    columns = [series_coefficients(gf_for_k(k), SERIES_N) for k in range(SERIES_N + 1)]
+    return {(n, k): columns[k][n] for n, k in SERIES_CELLS}
 
 
 @pytest.fixture
@@ -208,30 +210,29 @@ class TestSeriesColumns:
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
         for k, col in cold_columns.items():
-            assert list(col) == series_coefficients(gf_for_k(k), len(col) - 1), k
+            # Column k is stored from x^k on.
+            assert list(col) == series_coefficients(gf_for_k(k), k + len(col) - 1)[k:], k
 
-    def test_about_one_expansion_per_column(self, cold_columns, monkeypatch, capsys):
-        # Each call continues a column from the terms it holds, so the
-        # new terms over all calls are exactly the terms stored: no
-        # coefficient is computed twice.
-        new_terms = []
+    def test_formula_table_expands_no_series(self, cold_columns, monkeypatch, capsys):
+        # The formula route reads the printed generating function through
+        # its column rule alone; the polynomials are built and expanded
+        # only by the gf route and the audit.
+        argv = ["table", "--patterns", "231,321", "--n-max", "40", "--method"]
+        assert main(argv + ["gf"]) == 0
+        expected = capsys.readouterr().out
 
-        def counting(gf, m, prefix=()):
-            new_terms.append(m + 1 - len(prefix))
-            return series_coefficients(gf, m, prefix=prefix)
+        def refuse(*args, **kwargs):
+            raise AssertionError("the formula route expanded a series")
 
-        monkeypatch.setattr(formulas, "series_coefficients", counting)
-        argv = ["table", "--patterns", "231,321", "--method", "formula", "--n-max", "40"]
-        assert main(argv) == 0
-        assert capsys.readouterr().out
+        monkeypatch.setattr(formulas, "gf_for_k", refuse, raising=False)
+        monkeypatch.setattr(formulas, "series_coefficients", refuse)
+        assert main(argv + ["formula"]) == 0
+        assert capsys.readouterr().out == expected
         assert sorted(cold_columns) == list(range(41))
-        assert min(new_terms) > 0
-        assert sum(new_terms) == sum(len(col) for col in cold_columns.values())
-        assert len(new_terms) <= 41 * 7
-        # Column k starts at x^k and doubles its terms from there, so it
-        # holds fewer than twice the terms the table reads from it.
+        # Column k starts at x^k and doubles its terms, so it holds fewer
+        # than twice the 41 - k terms the table reads from it.
         for k, col in cold_columns.items():
-            assert len(col) - k <= 2 * (41 - k), k
+            assert len(col) < 2 * (41 - k), k
 
     def test_rows_satisfy_sum_identity_and_recurrence(self, cold_columns):
         rec = RECURRENCES["thm-231-321"]
