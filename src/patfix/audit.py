@@ -33,12 +33,10 @@ from .formulas import (
     recurrence_check,
 )
 from .genfun import gf_for_k, series_coefficients, sum_over_k
-from .oracle import (
-    avoider_rows,
-    check_size,
-    enumerate_avoiders,
-    refined_count,
-)
+from .oracle import avoider_rows, check_size, refined_count
+
+# Not called here, but bound: the benchmark's tracer wraps it in every module that holds it.
+from .oracle import enumerate_avoiders
 from .perms import ALL_PATTERNS, PatternSet, _from_rows, fixed_points
 
 __all__ = [
@@ -97,50 +95,41 @@ class AuditReport(NamedTuple):
         return out
 
 
-class _Tally:
-    """Checked and skipped counts and the first counterexample."""
-
-    def __init__(self) -> None:
-        self.start = time.perf_counter()
-        self.checked = 0
-        self.skipped = 0
-        self.counterexample: Cell | None = None
-
-    def compare(self, n: int, k: int, claimed: str | None, oracle: str) -> None:
-        """One cell; a claim of None is out of domain and skipped."""
+def _compare(item_id: str, kind: str, n_max: int, cells, detail: str = "") -> AuditReport:
+    """The report on one statement from its cells ``(n, k, claimed, true,
+    note)``, in the order that decides the first counterexample.  A claim
+    of None is out of domain and skipped; the first claim that differs
+    from the truth is the counterexample, and its note the detail unless
+    the caller gives one.  The only place that tallies cells."""
+    start = time.perf_counter()
+    checked = skipped = 0
+    counterexample = None
+    for n, k, claimed, true, note in cells:
         if claimed is None:
-            self.skipped += 1
-            return
-        self.checked += 1
-        if claimed != oracle and self.counterexample is None:
-            self.counterexample = Cell(n, k, claimed, oracle)
-
-    def report(self, item_id: str, kind: str, n_max: int, detail: str = "") -> AuditReport:
-        status = VERIFIED if self.counterexample is None else DISCREPANT
-        return AuditReport(
-            item_id=item_id,
-            kind=kind,
-            status=status,
-            n_max=n_max,
-            cells_checked=self.checked,
-            cells_skipped=self.skipped,
-            counterexample=self.counterexample,
-            duration_s=time.perf_counter() - self.start,
-            detail=detail,
-        )
+            skipped += 1
+            continue
+        checked += 1
+        if claimed != true and counterexample is None:
+            counterexample = Cell(n, k, claimed, true)
+            detail = detail or note
+    return _report(item_id, kind, n_max, checked, skipped, counterexample, start, detail)
 
 
-def _compare_cells(ps: PatternSet, n_max: int, claim, cap: int | None) -> _Tally:
+def _report(item_id, kind, n_max, checked, skipped, counterexample, start, detail=""):
+    """The report on counted cells, timed from ``start``."""
+    status = VERIFIED if counterexample is None else DISCREPANT
+    return AuditReport(item_id, kind, status, n_max, checked, skipped, counterexample,
+                       time.perf_counter() - start, detail)
+
+
+def _oracle_cells(ps: PatternSet, n_max: int, claim, cap: int | None):
     """``claim(n, k)`` against the oracle at every cell of rows
-    n = 0..n_max, refusing an oversized n_max before any count; a cell
-    the claim leaves out of domain is skipped."""
-    check_size(n_max, cap)
-    tally = _Tally()
+    n = 0..n_max, by n, then k.  Lazy: the caller refuses an oversized
+    n_max first."""
     for n in range(n_max + 1):
         row = refined_count(n, ps, cap=cap)
         for k in range(n + 1):
-            tally.compare(n, k, cell_text(claim(n, k)), str(row[k]))
-    return tally
+            yield n, k, cell_text(claim(n, k)), str(row[k]), ""
 
 
 #: The printed row totals: item id -> (kind, pattern set, first size,
@@ -159,10 +148,11 @@ def _audit_total(item_id: str, n_max: int, cap: int | None) -> AuditReport:
     before any count."""
     kind, patterns, first, total = _ROW_TOTALS[item_id]
     check_size(n_max, cap)
-    tally = _Tally()
-    for n in range(first, n_max + 1):
-        tally.compare(n, ROW_LEVEL, str(total(n)), str(sum(refined_count(n, patterns, cap=cap))))
-    return tally.report(item_id, kind, n_max)
+    cells = (
+        (n, ROW_LEVEL, str(total(n)), str(sum(refined_count(n, patterns, cap=cap))), "")
+        for n in range(first, n_max + 1)
+    )
+    return _compare(item_id, kind, n_max, cells)
 
 
 def _gen_item_id(patterns: PatternSet) -> str:
@@ -174,10 +164,9 @@ def audit_formula(formula_id: str, n_max: int, *, cap: int | None = None) -> Aud
     stated domain up to n_max; out-of-domain cells are skipped and
     counted."""
     f = get_formula(formula_id)
-    tally = _compare_cells(
-        f.patterns, n_max, lambda n, k: evaluate(formula_id, n, k), cap
-    )
-    return tally.report(formula_id, "formula", n_max)
+    check_size(n_max, cap)
+    cells = _oracle_cells(f.patterns, n_max, lambda n, k: evaluate(formula_id, n, k), cap)
+    return _compare(formula_id, "formula", n_max, cells)
 
 
 def audit_generator(patterns, n_max: int, *, cap: int | None = None) -> AuditReport:
@@ -194,38 +183,35 @@ def audit_generator(patterns, n_max: int, *, cap: int | None = None) -> AuditRep
         np.bincount(fixed_points(rows), minlength=n + 1).tolist()
         for n, rows in enumerate(built)
     ]
-    tally = _compare_cells(ps, n_max, lambda n, k: hists[n][k], cap)
+    cells = _oracle_cells(ps, n_max, lambda n, k: hists[n][k], cap)
     detail = ""
     for n, rows in enumerate(built):
-        if np.array_equal(rows, avoider_rows(n, ps, cap=cap)):
+        oracle_rows = avoider_rows(n, ps, cap=cap)
+        if np.array_equal(rows, oracle_rows):
             continue
-        perms = set(_from_rows(rows))
-        truth = set(enumerate_avoiders(n, ps, cap=cap))
-        spurious = sorted(perms - truth)
-        missing = sorted(truth - perms)
-        first_spurious = spurious[0].compact() if spurious else "-"
-        first_missing = missing[0].compact() if missing else "-"
-        detail = (
-            f"sets first differ at n={n}"
-            f" (spurious={first_spurious}, missing={first_missing})"
+        perms, truth = set(_from_rows(rows)), set(_from_rows(oracle_rows))
+        spurious, missing = (
+            min(d).compact() if d else "-" for d in (perms - truth, truth - perms)
         )
-        if tally.counterexample is None:
+        detail = f"sets first differ at n={n} (spurious={spurious}, missing={missing})"
+        if all(hist == refined_count(m, ps, cap=cap) for m, hist in enumerate(hists)):
             # Same histogram but different members; surface it anyway.
-            tally.compare(n, ROW_LEVEL, first_spurious, first_missing)
+            cells = itertools.chain(cells, [(n, ROW_LEVEL, spurious, missing, "")])
         break
-    return tally.report(_gen_item_id(ps), "generator", n_max, detail)
+    return _compare(_gen_item_id(ps), "generator", n_max, cells, detail)
 
 
 def audit_recurrence(formula_id: str, n_max: int, *, cap: int | None = None) -> AuditReport:
-    # The one tally not kept by compare: recurrence_check counts its cells.
+    """A registered recurrence on the oracle's table: recurrence_check
+    counts the cells, and its first violation is the counterexample."""
+    start = time.perf_counter()
     rep = recurrence_check(formula_id, n_max, cap=cap)
-    tally = _Tally()
-    tally.checked = rep.cells_checked
+    counterexample = None
     if rep.violations:
         n, k, lhs, rhs = rep.violations[0]
-        tally.counterexample = Cell(n, k, str(rhs), str(lhs))
+        counterexample = Cell(n, k, str(rhs), str(lhs))
     item_id = "rec-" + formula_id.removeprefix("thm3-").removeprefix("thm-")
-    return tally.report(item_id, "recurrence", n_max)
+    return _report(item_id, "recurrence", n_max, rep.cells_checked, 0, counterexample, start)
 
 
 def audit_gf_coefficients(n_max: int, *, cap: int | None = None) -> AuditReport:
@@ -235,10 +221,8 @@ def audit_gf_coefficients(n_max: int, *, cap: int | None = None) -> AuditReport:
     registry's memo, so this stays a route of its own."""
     check_size(n_max, cap)
     cols = [series_coefficients(gf_for_k(k), n_max) for k in range(n_max + 1)]
-    tally = _compare_cells(
-        PatternSet.parse("231,321"), n_max, lambda n, k: cols[k][n], cap
-    )
-    return tally.report("gf-231-321", "genfun", n_max)
+    cells = _oracle_cells(PatternSet.parse("231,321"), n_max, lambda n, k: cols[k][n], cap)
+    return _compare("gf-231-321", "genfun", n_max, cells)
 
 
 def audit_gf_sum(n_max: int, *, cap: int | None = None) -> AuditReport:
@@ -258,20 +242,20 @@ def audit_sum_identity(patterns, n_max: int, *, cap: int | None = None) -> Audit
 
 def audit_small_class_bound(n_max: int, *, cap: int | None = None) -> AuditReport:
     """Every pattern set of cardinality >= 4 has refined counts in
-    {0, 1, 2} at every (n, k)."""
+    {0, 1, 2} at every (n, k), in order of set, then n, then k."""
     check_size(n_max, cap)
-    tally = _Tally()
-    detail = ""
+    return _compare("bound-size-ge-4", "property", n_max, _bound_cells(n_max, cap))
+
+
+def _bound_cells(n_max: int, cap: int | None):
     for size in (4, 5, 6):
         for combo in itertools.combinations(ALL_PATTERNS, size):
             ps = PatternSet(combo)
+            note = f"violated by {{{ps.canonical()}}}"
             for n in range(n_max + 1):
                 for k, count in enumerate(refined_count(n, ps, cap=cap)):
                     text = str(count)
-                    tally.compare(n, k, text if count <= 2 else "0|1|2", text)
-            if tally.counterexample is not None and not detail:
-                detail = f"violated by {{{ps.canonical()}}}"
-    return tally.report("bound-size-ge-4", "property", n_max, detail)
+                    yield n, k, text if count <= 2 else "0|1|2", text, note
 
 
 def audit_vanishing(n_max: int, *, cap: int | None = None) -> AuditReport:
@@ -322,17 +306,17 @@ def audit_super_wilf(n_max: int, *, cap: int | None = None) -> list[AuditReport]
     count is compared with the first member's at each cell up to n_max,
     in order of n, then member, then k."""
     check_size(n_max, cap)
-    reports = []
-    for name, (first, *others) in _SUPER_WILF_CLAIMS:
-        tally = _Tally()
-        detail = ""
-        for n in range(n_max + 1):
-            truth = refined_count(n, first, cap=cap)
-            for member in others:
-                row = refined_count(n, member, cap=cap)
-                for k in range(n + 1):
-                    tally.compare(n, k, str(row[k]), str(truth[k]))
-                if tally.counterexample is not None and not detail:
-                    detail = f"{{{member}}} differs from {{{first}}}"
-        reports.append(tally.report(name, "equivalence", n_max, detail))
-    return reports
+    return [
+        _compare(name, "equivalence", n_max, _equivalence_cells(first, others, n_max, cap))
+        for name, (first, *others) in _SUPER_WILF_CLAIMS
+    ]
+
+
+def _equivalence_cells(first: str, others: list[str], n_max: int, cap: int | None):
+    notes = [(member, f"{{{member}}} differs from {{{first}}}") for member in others]
+    for n in range(n_max + 1):
+        truth = refined_count(n, first, cap=cap)
+        for member, note in notes:
+            row = refined_count(n, member, cap=cap)
+            for k in range(n + 1):
+                yield n, k, str(row[k]), str(truth[k]), note

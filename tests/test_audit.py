@@ -27,6 +27,7 @@ from patfix.audit import (
 )
 from patfix.equivalence import divergence_witness, super_wilf_classes
 from patfix.formulas import DISCREPANT, RECURRENCES, VERIFIED, formula_ids
+from patfix.genfun import series_coefficients
 from patfix.oracle import DEFAULT_CAP, CapExceeded, refined_count
 from patfix.perms import PatternSet, Permutation
 
@@ -68,6 +69,17 @@ class TestOtherItems:
         bad = audit_generator("132,213,231", 7)
         assert bad.status == DISCREPANT
         assert (bad.counterexample.n, bad.counterexample.k) == (2, 2)
+        assert "missing=12" in bad.detail
+
+    def test_generator_mismatch_asks_the_oracle_once(self, monkeypatch):
+        # The members the built rows are told apart from come from the
+        # oracle rows already compared, not from a second enumeration.
+        def enumerate_again(*args, **kwargs):
+            raise AssertionError("the oracle was asked for the avoiders again")
+
+        monkeypatch.setattr("patfix.audit.enumerate_avoiders", enumerate_again)
+        bad = audit_generator("132,213,231", 7)
+        assert bad.status == DISCREPANT
         assert "missing=12" in bad.detail
 
     def test_same_histogram_different_members(self, monkeypatch):
@@ -115,6 +127,8 @@ class TestOtherItems:
     @pytest.mark.parametrize("audit", [
         partial(audit_formula, "thm-231-312"),
         partial(audit_sum_identity, "132,321"),
+        audit_gf_coefficients,
+        partial(audit_recurrence, "thm-231-312"),
         audit_gf_sum,
         audit_small_class_bound,
         audit_vanishing,
@@ -124,7 +138,8 @@ class TestOtherItems:
         # One pair differs at n = 3, below the cap; the other never differs.
         partial(divergence_witness, "123", "132"),
         partial(divergence_witness, "132", "213"),
-    ], ids=["formula", "sum-identity", "gf-sum", "small-class-bound", "vanishing",
+    ], ids=["formula", "sum-identity", "gf-coefficients", "recurrence", "gf-sum",
+            "small-class-bound", "vanishing",
             "super-wilf", "all", "super-wilf-classes", "witness-differs-early",
             "witness-agrees"])
     def test_oversized_n_max_refused_before_any_count(self, monkeypatch, sweeps, audit):
@@ -182,6 +197,23 @@ class TestOtherItems:
         # 22 sets of four or more patterns, 28 cells each.
         assert report.cells_checked == 616
 
+    def test_small_class_bound_orders_by_set_before_n(self, monkeypatch):
+        # The first set of four fails at n = 5, a set of five at n = 4:
+        # the earlier set is reported, though the later one fails sooner.
+        first = PatternSet.parse("123,132,213,231")
+        later = PatternSet.parse("123,132,213,231,312")
+
+        def count(n, patterns, *, cap=None):
+            row = refined_count(n, patterns, cap=cap)
+            if (n, PatternSet(patterns)) in ((5, first), (4, later)):
+                return [3, *row[1:]]
+            return row
+
+        monkeypatch.setattr("patfix.audit.refined_count", count)
+        report = audit_small_class_bound(6)
+        assert report.counterexample == Cell(5, 0, "0|1|2", "3")
+        assert report.detail == "violated by {123,132,213,231}"
+
     def test_recurrence_reports_claimed_then_oracle(self, monkeypatch):
         rec = RECURRENCES["thm-231-312"]
         monkeypatch.setitem(RECURRENCES, "thm-231-312",
@@ -196,6 +228,22 @@ class TestOtherItems:
     def test_recurrence_items(self):
         for fid in ("thm-132-231", "thm-231-312", "thm-231-321", "thm3-231-312-321"):
             assert audit_recurrence(fid, 8).status == VERIFIED
+
+    def test_gf_coefficients_report_their_first_cell(self, monkeypatch):
+        # Column 3 is off at n = 4 and column 0 at n = 6: cells go by n,
+        # then k, so (4, 3) comes first.
+        def coefficients(f, m):
+            col = series_coefficients(f, m)
+            k = next(i for i, c in enumerate(col) if c)  # column k starts at x^k
+            bump = {3: 4, 0: 6}.get(k)
+            return col if bump is None else [*col[:bump], col[bump] + 1, *col[bump + 1:]]
+
+        monkeypatch.setattr("patfix.audit.series_coefficients", coefficients)
+        report = audit_gf_coefficients(7)
+        assert (report.item_id, report.status) == ("gf-231-321", DISCREPANT)
+        truth = refined_count(4, "231,321")[3]
+        assert report.counterexample == Cell(4, 3, str(truth + 1), str(truth))
+        assert report.cells_checked == 36
 
     def test_gf_items(self):
         assert audit_gf_coefficients(8).status == VERIFIED
