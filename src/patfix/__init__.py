@@ -13,7 +13,6 @@ from .audit import (
     audit_formula,
     audit_generator,
     audit_super_wilf,
-    reports_to_json,
 )
 from .equivalence import (
     OrbitClass,
@@ -85,7 +84,6 @@ __all__ = [
     "orbit",
     "recurrence_check",
     "refined_count",
-    "reports_to_json",
     "series_coefficients",
     "standardize",
     "sum_over_k",

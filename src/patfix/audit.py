@@ -8,30 +8,20 @@ refined-equivalence claim, one member's table against another's.
 A discrepancy is a statement about the audited route, never something to
 auto-correct: the report carries the first counterexample and the repo
 tracks known findings in DISCREPANCIES.md.  Reports serialize to JSON
-deterministically (wall-clock durations stay in memory only), so two
-runs at the same n_max produce byte-identical output.
+deterministically, so two runs at the same n_max produce byte-identical
+output.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-import time
 from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
 from . import formulas, generators
-from .formulas import (
-    DISCREPANT,
-    RECURRENCES,
-    VERIFIED,
-    cell_text,
-    evaluate,
-    get_formula,
-    recurrence_check,
-)
+from .formulas import RECURRENCES, cell_text, evaluate, get_formula, recurrence_check
 from .genfun import gf_for_k, series_coefficients, sum_over_k
 from .oracle import avoider_rows, check_size, refined_count
 
@@ -42,12 +32,16 @@ from .perms import ALL_PATTERNS, PatternSet, _from_rows, fixed_points
 __all__ = [
     "AuditReport",
     "Cell",
+    "DISCREPANT",
+    "VERIFIED",
     "audit_all",
     "audit_formula",
     "audit_generator",
     "audit_super_wilf",
-    "reports_to_json",
 ]
+
+VERIFIED = "verified"
+DISCREPANT = "discrepant"
 
 #: Row-level checks (sums, emptiness) have no meaningful k; their cells
 #: carry k = -1.
@@ -72,7 +66,6 @@ class AuditReport(NamedTuple):
     cells_checked: int
     cells_skipped: int
     counterexample: Cell | None
-    duration_s: float
     detail: str = ""
 
     @property
@@ -100,8 +93,7 @@ def _compare(item_id: str, kind: str, n_max: int, cells, detail: str = "") -> Au
     note)``, in the order that decides the first counterexample.  A claim
     of None is out of domain and skipped; the first claim that differs
     from the truth is the counterexample, and its note the detail unless
-    the caller gives one.  The only place that tallies cells."""
-    start = time.perf_counter()
+    the caller gives one.  The only place that makes a report."""
     checked = skipped = 0
     counterexample = None
     for n, k, claimed, true, note in cells:
@@ -112,14 +104,8 @@ def _compare(item_id: str, kind: str, n_max: int, cells, detail: str = "") -> Au
         if claimed != true and counterexample is None:
             counterexample = Cell(n, k, claimed, true)
             detail = detail or note
-    return _report(item_id, kind, n_max, checked, skipped, counterexample, start, detail)
-
-
-def _report(item_id, kind, n_max, checked, skipped, counterexample, start, detail=""):
-    """The report on counted cells, timed from ``start``."""
     status = VERIFIED if counterexample is None else DISCREPANT
-    return AuditReport(item_id, kind, status, n_max, checked, skipped, counterexample,
-                       time.perf_counter() - start, detail)
+    return AuditReport(item_id, kind, status, n_max, checked, skipped, counterexample, detail)
 
 
 def _oracle_cells(ps: PatternSet, n_max: int, claim, cap: int | None):
@@ -202,16 +188,15 @@ def audit_generator(patterns, n_max: int, *, cap: int | None = None) -> AuditRep
 
 
 def audit_recurrence(formula_id: str, n_max: int, *, cap: int | None = None) -> AuditReport:
-    """A registered recurrence on the oracle's table: recurrence_check
-    counts the cells, and its first violation is the counterexample."""
-    start = time.perf_counter()
-    rep = recurrence_check(formula_id, n_max, cap=cap)
-    counterexample = None
-    if rep.violations:
-        n, k, lhs, rhs = rep.violations[0]
-        counterexample = Cell(n, k, str(rhs), str(lhs))
+    """A registered recurrence on the oracle's table at every cell that
+    recurrence_check walks: the recurrence's sum is the claim, the
+    oracle's count the truth."""
+    cells = (
+        (n, k, str(rhs), str(lhs), "")
+        for n, k, lhs, rhs in recurrence_check(formula_id, n_max, cap=cap)
+    )
     item_id = "rec-" + formula_id.removeprefix("thm3-").removeprefix("thm-")
-    return _report(item_id, "recurrence", n_max, rep.cells_checked, 0, counterexample, start)
+    return _compare(item_id, "recurrence", n_max, cells)
 
 
 def audit_gf_coefficients(n_max: int, *, cap: int | None = None) -> AuditReport:
@@ -281,10 +266,6 @@ def audit_all(n_max: int, *, cap: int | None = None) -> list[AuditReport]:
     reports.append(audit_small_class_bound(n_max, cap=cap))
     reports.append(audit_vanishing(n_max, cap=cap))
     return reports
-
-
-def reports_to_json(reports: list[AuditReport]) -> str:
-    return json.dumps([r.to_json_dict() for r in reports], indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -231,7 +231,6 @@ def _cmd_verify(args) -> int:
         reports = audit_mod.audit_all(args.n_max, cap=args.cap)
     else:
         reports = [audit_mod.audit_formula(args.formula, args.n_max, cap=args.cap)]
-    # The payload is what audit.reports_to_json renders.
     _emit(args.format, [r.to_json_dict() for r in reports],
           plain=lambda: map(_report_line, reports))
     return EXIT_OK if all(r.verified for r in reports) else EXIT_DISCREPANT

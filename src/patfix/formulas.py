@@ -26,13 +26,10 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 __all__ = [
-    "DISCREPANT",
     "Formula",
     "RECURRENCES",
     "Recurrence",
-    "RecurrenceReport",
     "Undefined",
-    "VERIFIED",
     "cell_text",
     "evaluate",
     "fibonacci",
@@ -43,9 +40,6 @@ __all__ = [
     "recurrence_check",
     "row_text",
 ]
-
-VERIFIED = "verified"
-DISCREPANT = "discrepant"
 
 
 class Undefined(Enum):
@@ -487,34 +481,23 @@ RECURRENCES: dict[str, Recurrence] = {
 }
 
 
-class RecurrenceReport(NamedTuple):
-    formula_id: str
-    n_max: int
-    cells_checked: int
-    violations: tuple[tuple[int, int, int, int], ...]  # (n, k, lhs, rhs)
-
-    @property
-    def holds(self) -> bool:
-        return not self.violations
-
-
-def recurrence_check(formula_id: str, n_max: int, *, cap: int | None = None) -> RecurrenceReport:
-    """Verify the registered recurrence against oracle data for every
-    valid (n, k) up to n_max; violations are reported, not raised."""
+def recurrence_check(
+    formula_id: str, n_max: int, *, cap: int | None = None
+) -> list[tuple[int, int, int, int]]:
+    """Every cell of the registered recurrence on oracle data up to n_max,
+    as ``(n, k, lhs, rhs)``: lhs is the oracle's count, rhs the
+    recurrence's sum of smaller counts.  By n, then k, from the
+    recurrence's first size; only k = 0 where it is stated for no fixed
+    points.  It holds where every lhs equals its rhs."""
     try:
         rec = RECURRENCES[formula_id]
     except KeyError:
         raise ValueError(f"no recurrence registered under {formula_id!r}") from None
     rows = count_table(n_max, rec.patterns, cap=cap)
-    checked = 0
-    violations: list[tuple[int, int, int, int]] = []
-    for n in range(rec.min_n, n_max + 1):
-        ks = (0,) if rec.zero_fixed_only else range(n + 1)
-        for k in ks:
-            lhs = rows[n][k]
-            # A count outside 0 <= k <= n is zero, by convention.
-            rhs = sum(c * rows[n - dn][k - dk] for c, dn, dk in rec.terms if 0 <= k - dk <= n - dn)
-            checked += 1
-            if lhs != rhs:
-                violations.append((n, k, lhs, rhs))
-    return RecurrenceReport(formula_id, n_max, checked, tuple(violations))
+    # A count outside 0 <= k <= n is zero, by convention.
+    return [
+        (n, k, rows[n][k],
+         sum(c * rows[n - dn][k - dk] for c, dn, dk in rec.terms if 0 <= k - dk <= n - dn))
+        for n in range(rec.min_n, n_max + 1)
+        for k in ((0,) if rec.zero_fixed_only else range(n + 1))
+    ]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from patfix import formulas
+from patfix.audit import audit_recurrence
 from patfix.cli import main
 from patfix.formulas import (
     RECURRENCES,
@@ -136,9 +137,22 @@ class TestNamedSequences:
 class TestRecurrences:
     def test_all_registered_hold(self):
         for fid in RECURRENCES:
-            report = recurrence_check(fid, 8)
-            assert report.holds, report.violations
-            assert report.cells_checked > 0
+            cells = recurrence_check(fid, 8)
+            assert cells
+            assert [c for c in cells if c[2] != c[3]] == []
+
+    def test_domain(self):
+        # {132,231} is stated at k = 0 only, from n = 3; the others at
+        # every k, from their first size.
+        assert [(n, k) for n, k, _, _ in recurrence_check("thm-132-231", 6)] == [
+            (n, 0) for n in range(3, 7)
+        ]
+        assert audit_recurrence("thm-132-231", 6).cells_checked == 4
+        cells = recurrence_check("thm-231-321", 5)
+        assert len(cells) == 18
+        assert [(n, k) for n, k, _, _ in cells] == [
+            (n, k) for n in range(2, 6) for k in range(n + 1)
+        ]
 
     def test_example_step(self):
         # s_4^0 = s_3^0 + 2 s_2^0 = 1 + 2 for the {132,231} family.

@@ -12,14 +12,7 @@ import pytest
 
 from patfix.audit import AuditReport, Cell, audit_formula
 from patfix.equivalence import OrbitClass, SuperWilfClass, orbit, super_wilf_classes
-from patfix.formulas import (
-    RECURRENCES,
-    Formula,
-    Recurrence,
-    RecurrenceReport,
-    get_formula,
-    recurrence_check,
-)
+from patfix.formulas import RECURRENCES, Formula, Recurrence, get_formula
 from patfix.generators import StructuralFamily, supported_families
 from patfix.genfun import RationalGF, gf_for_k
 from patfix.oracle import _Sweep
@@ -30,17 +23,15 @@ from patfix.oracle import _Sweep
 RECORDS = [
     (Cell, lambda: Cell(4, -1, "1342", "-"),
      ("n", "k", "formula_value", "oracle_value"), True),
-    (AuditReport, lambda: AuditReport("thm-x", "formula", "verified", 5, 21, 0, None, 0.5),
+    (AuditReport, lambda: AuditReport("thm-x", "formula", "verified", 5, 21, 0, None),
      ("item_id", "kind", "status", "n_max", "cells_checked", "cells_skipped",
-      "counterexample", "duration_s", "detail"), False),
+      "counterexample", "detail"), False),
     (OrbitClass, lambda: orbit("132,231"), ("representative", "members"), True),
     (SuperWilfClass, lambda: super_wilf_classes(["132", "213", "321"], 5)[0],
      ("members", "n_max"), True),
     (Formula, lambda: get_formula("thm-231-321"), ("formula_id", "patterns", "min_n", "fn"), True),
     (Recurrence, lambda: RECURRENCES["thm-132-231"],
      ("patterns", "min_n", "terms", "zero_fixed_only"), True),
-    (RecurrenceReport, lambda: recurrence_check("thm-231-312", 6),
-     ("formula_id", "n_max", "cells_checked", "violations"), True),
     (StructuralFamily, lambda: supported_families()[0], ("patterns", "kind", "build"), True),
     (RationalGF, lambda: gf_for_k(2), ("numerator", "denominator"), True),
     (_Sweep, lambda: _Sweep(np.zeros((1, 0), dtype=np.int8), np.zeros(1, dtype=np.uint8),
@@ -109,7 +100,7 @@ class TestRecordBehaviour:
     def test_cell_and_report_key_order(self):
         cell = Cell(4, -1, "1342", "-")
         assert list(cell._asdict()) == ["n", "k", "formula_value", "oracle_value"]
-        report = AuditReport("thm-x", "formula", "discrepant", 5, 21, 2, cell, 0.5, "why")
+        report = AuditReport("thm-x", "formula", "discrepant", 5, 21, 2, cell, "why")
         out = report.to_json_dict()
         assert list(out) == ["formula", "kind", "status", "n_max", "cells_checked",
                              "cells_skipped", "counterexample", "detail"]
