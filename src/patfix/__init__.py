@@ -15,8 +15,6 @@ from .audit import (
     audit_super_wilf,
 )
 from .equivalence import (
-    OrbitClass,
-    SuperWilfClass,
     divergence_witness,
     orbit,
     super_wilf_classes,
@@ -48,8 +46,6 @@ from .perms import (
     ALL_PATTERNS,
     PatternSet,
     Permutation,
-    apply_symmetry,
-    standardize,
 )
 
 __version__ = "0.1.0"
@@ -58,14 +54,11 @@ __all__ = [
     "ALL_PATTERNS",
     "AuditReport",
     "CapExceeded",
-    "OrbitClass",
     "PatternSet",
     "Permutation",
     "RationalGF",
-    "SuperWilfClass",
     "Undefined",
     "UnsupportedFamily",
-    "apply_symmetry",
     "audit_all",
     "audit_formula",
     "audit_generator",
@@ -85,7 +78,6 @@ __all__ = [
     "recurrence_check",
     "refined_count",
     "series_coefficients",
-    "standardize",
     "sum_over_k",
     "super_wilf_classes",
     "supported_families",

@@ -241,7 +241,7 @@ def _cmd_classes(args) -> int:
         if args.n_max is not None or args.cap is not None:
             option = "--n-max" if args.n_max is not None else "--cap"
             raise UsageError(f"{option} applies only to --mode superwilf")
-        members = [[m.canonical() for m in c.members] for c in symmetry_classes(args.size)]
+        members = [[m.canonical() for m in c] for c in symmetry_classes(args.size)]
         _emit(args.format, {"mode": "symmetry", "size": args.size, "classes": members},
               plain=lambda: (" ; ".join(m) for m in members))
         return EXIT_OK
@@ -249,9 +249,9 @@ def _cmd_classes(args) -> int:
         raise UsageError("--mode superwilf requires --n-max")
     candidates = [PatternSet(c) for c in itertools.combinations(ALL_PATTERNS, args.size)]
     classes = super_wilf_classes(candidates, args.n_max, cap=args.cap)
-    members = [[m.canonical() for m in c.members] for c in classes]
+    members = [[m.canonical() for m in c] for c in classes]
     witnesses = []
-    for a, b in itertools.combinations([c.members[0] for c in classes], 2):
+    for a, b in itertools.combinations([c[0] for c in classes], 2):
         w = divergence_witness(a, b, args.n_max, cap=args.cap)
         if w is not None:
             witnesses.append({"a": a.canonical(), "b": b.canonical(), "n": w[0], "k": w[1]})

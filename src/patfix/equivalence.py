@@ -11,14 +11,11 @@ empirically, up to a stated size.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, NamedTuple
 
 from .oracle import check_size, refined_count
 from .perms import ALL_PATTERNS, PatternSet, Permutation
 
 __all__ = [
-    "OrbitClass",
-    "SuperWilfClass",
     "divergence_witness",
     "orbit",
     "super_wilf_classes",
@@ -26,40 +23,15 @@ __all__ = [
 ]
 
 
-class _Members:
-    """len() of a class of pattern sets is its member count.  namedtuple's
-    _make, and so _replace, checks its field count by len(), so it goes
-    through the constructor instead."""
-
-    __slots__ = ()
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    @classmethod
-    def _make(cls, iterable: Iterable):
-        return cls(*iterable)
-
-
-class _Orbit(NamedTuple):
-    representative: PatternSet
-    members: tuple[PatternSet, ...]
-
-
-class OrbitClass(_Members, _Orbit):
-    """One orbit: the lexicographically least member represents it."""
-
-    __slots__ = ()
-
-
-def orbit(patterns) -> OrbitClass:
+def orbit(patterns) -> tuple[PatternSet, ...]:
     """Images of {patterns} under elementwise inverse and
-    reverse-complement.  The two are commuting involutions, so the orbit
-    is {T, I(T), RC(T), RC(I(T))}."""
+    reverse-complement, as a sorted tuple.  The two are commuting
+    involutions, so the orbit is {T, I(T), RC(T), RC(I(T))}."""
     ps = PatternSet(patterns)
-    inverse = ps.apply("I")
-    members = tuple(sorted({ps, inverse, ps.apply("RC"), inverse.apply("RC")}))
-    return OrbitClass(members[0], members)
+    inverse = PatternSet(p.inverse() for p in ps)
+    rc = PatternSet(p.reverse_complement() for p in ps)
+    rc_inverse = PatternSet(p.reverse_complement() for p in inverse)
+    return tuple(sorted({ps, inverse, rc, rc_inverse}))
 
 
 _P123 = Permutation.parse("123")
@@ -68,90 +40,74 @@ _P213 = Permutation.parse("213")
 _P321 = Permutation.parse("321")
 
 
-def _split_mixed_pairs(classes: list[OrbitClass]) -> list[OrbitClass]:
+def _split_mixed_pairs(classes: list[tuple]) -> list[tuple]:
     """Case layout for pairs: the four sets that combine one of
     {132, 213} with one of {231, 312} form a single orbit, but they are
     conventionally listed as two pairs keyed by the shared 132 or 213
     member."""
-    out: list[OrbitClass] = []
-    for cls in classes:
-        members = cls.members
+    out = []
+    for members in classes:
         if len(members) == 4 and all(_P132 in m or _P213 in m for m in members):
-            with_132 = tuple(sorted(m for m in members if _P132 in m))
-            with_213 = tuple(sorted(m for m in members if _P213 in m))
-            out.append(OrbitClass(with_132[0], with_132))
-            out.append(OrbitClass(with_213[0], with_213))
+            out.append(tuple(m for m in members if _P132 in m))
+            out.append(tuple(m for m in members if _P213 in m))
         else:
-            out.append(cls)
+            out.append(members)
     return out
 
 
-def _merge_both_monotone(classes: list[OrbitClass]) -> list[OrbitClass]:
+def _merge_both_monotone(classes: list[tuple]) -> list[tuple]:
     """Case layout for triples: every superset of {123, 321} is listed
     as one case.  Such classes have no avoiders at all from size 5 on,
     so they behave as a single degenerate family."""
-    dead = [c for c in classes if all(_P123 in m and _P321 in m for m in c.members)]
+    dead = [c for c in classes if all(_P123 in m and _P321 in m for m in c)]
     if len(dead) <= 1:
         return classes
     rest = [c for c in classes if c not in dead]
-    members = tuple(sorted(m for c in dead for m in c.members))
-    return rest + [OrbitClass(members[0], members)]
+    return rest + [tuple(sorted(m for c in dead for m in c))]
 
 
-def symmetry_classes(cardinality: int) -> list[OrbitClass]:
-    """Partition of all pattern sets of the given cardinality.
+def symmetry_classes(cardinality: int) -> list[tuple[PatternSet, ...]]:
+    """Partition of all pattern sets of the given cardinality, each
+    class the sorted tuple of its members, the classes sorted.
 
     Cardinalities 2 and 3 follow the conventional case layout (see the
-    helpers above); other cardinalities are raw orbits.  Classes are
-    ordered by representative.
+    helpers above); other cardinalities are raw orbits.
     """
     if not 1 <= cardinality <= 6:
         raise ValueError("cardinality must be between 1 and 6")
-    classes: list[OrbitClass] = []
+    classes = []
     seen: set[PatternSet] = set()
     for combo in itertools.combinations(ALL_PATTERNS, cardinality):
         ps = PatternSet(combo)
         if ps in seen:
             continue
         orb = orbit(ps)
-        seen.update(orb.members)
+        seen.update(orb)
         classes.append(orb)
     if cardinality == 2:
         classes = _split_mixed_pairs(classes)
     elif cardinality == 3:
         classes = _merge_both_monotone(classes)
-    return sorted(classes, key=lambda c: c.representative)
-
-
-class _Grouping(NamedTuple):
-    members: tuple[PatternSet, ...]
-    n_max: int
-
-
-class SuperWilfClass(_Members, _Grouping):
-    """Pattern sets with identical refined tables for all n <= n_max.
-
-    Equality at n_max is evidence, not proof: the grouping is empirical.
-    """
-
-    __slots__ = ()
+    return sorted(classes)
 
 
 def _table_key(ps: PatternSet, n_max: int, cap: int | None) -> tuple:
     return tuple(tuple(refined_count(n, ps, cap=cap)) for n in range(n_max + 1))
 
 
-def super_wilf_classes(candidates, n_max: int, *, cap: int | None = None) -> list[SuperWilfClass]:
+def super_wilf_classes(candidates, n_max: int, *,
+                       cap: int | None = None) -> list[tuple[PatternSet, ...]]:
     """Partition candidates by exact equality of their full refined
-    tables for n = 0..n_max; an oversized n_max is refused before any
-    table is counted."""
+    tables for n = 0..n_max, each class the sorted tuple of its members,
+    the classes sorted; an oversized n_max is refused before any table
+    is counted.  Equal tables up to n_max are evidence, not proof: the
+    grouping is empirical."""
     check_size(n_max, cap)
     groups: dict[tuple, set[PatternSet]] = {}
     for candidate in candidates:
         ps = PatternSet(candidate)
         groups.setdefault(_table_key(ps, n_max, cap), set()).add(ps)
-    classes = [SuperWilfClass(tuple(sorted(g)), n_max) for g in groups.values()]
-    return sorted(classes, key=lambda c: c.members[0])
+    return sorted(tuple(sorted(g)) for g in groups.values())
 
 
 def divergence_witness(a, b, n_max: int, *, cap: int | None = None) -> tuple[int, int] | None:

@@ -244,8 +244,9 @@ _build_lock = threading.Lock()
 _SEED = ((_sealed(np.zeros((1, 0), np.int8), np.zeros(1, np.uint8), np.zeros((1, 1), np.uint8)),),
          ([[1]] * 64,))
 # The shared rows of sizes 0..m - 1 and the count tables of sizes 0..m,
-# each replaced whole and never changed once published.
-_built, _counts = _SEED
+# published together as one pair, replaced whole and never changed once
+# published, so the rows of every size below the largest counted are built.
+_state = _SEED
 
 
 def _grown(n: int) -> tuple[tuple[_Sweep, ...], list[list[int]]]:
@@ -255,19 +256,19 @@ def _grown(n: int) -> tuple[tuple[_Sweep, ...], list[list[int]]]:
     later callers wait, counts each missing size up to n from the shared
     rows of the size below, building those rows first if they are not
     yet built."""
-    global _built, _counts
-    counts, built = _counts, _built
-    if n < len(counts) and n <= len(built):
+    global _state
+    built, counts = _state
+    if n < len(counts):
         return built, counts[n]
     with _build_lock:
-        built, counts = _built, _counts
+        built, counts = _state
         for m in range(len(counts), n + 1):
             if len(built) < m:
                 top = _step(m - 1, built[-1], 0, sum(counts[m - 1][0]))
                 # Only the largest size built keeps its start table.
-                _built = built = built[:-1] + (built[-1]._replace(table=None), top)
-            count = _count_table(_histogram_from_below(m, built[m - 1]), m)
-            _counts = counts = counts + (count,)
+                built = built[:-1] + (built[-1]._replace(table=None), top)
+            counts = counts + (_count_table(_histogram_from_below(m, built[m - 1]), m),)
+            _state = built, counts
         return built, counts[n]
 
 
@@ -309,6 +310,6 @@ def count_table(n_max: int, patterns, *, cap: int | None = None) -> list[list[in
 
 def clear_cache() -> None:
     """Drop all cached enumeration state but the seed (mainly for tests)."""
-    global _built, _counts
+    global _state
     with _build_lock:
-        _built, _counts = _SEED
+        _state = _SEED

@@ -19,10 +19,7 @@ __all__ = [
     "ALL_PATTERNS",
     "PatternSet",
     "Permutation",
-    "SYMMETRIES",
-    "apply_symmetry",
     "fixed_points",
-    "standardize",
 ]
 
 
@@ -64,10 +61,6 @@ class Permutation(tuple):
     def __repr__(self) -> str:
         return f"Permutation({self.compact()!r})"
 
-    @property
-    def size(self) -> int:
-        return len(self)
-
     def fixed_point_count(self) -> int:
         """Number of positions i (1-based) with p(i) = i."""
         return sum(1 for i, v in enumerate(self, start=1) if v == i)
@@ -77,13 +70,6 @@ class Permutation(tuple):
         for i, v in enumerate(self, start=1):
             inv[v - 1] = i
         return Permutation(inv)
-
-    def reverse(self) -> "Permutation":
-        return Permutation(self[::-1])
-
-    def complement(self) -> "Permutation":
-        n = len(self)
-        return Permutation(n + 1 - v for v in self)
 
     def reverse_complement(self) -> "Permutation":
         n = len(self)
@@ -131,41 +117,6 @@ def fixed_points(rows: np.ndarray) -> np.ndarray:
     refined histograms."""
     n = rows.shape[1]
     return (rows == np.arange(n, dtype=rows.dtype)).sum(axis=1, dtype=np.min_scalar_type(n))
-
-
-def standardize(values: Iterable[int]) -> Permutation:
-    """Replace a sequence of distinct values by their ranks.
-
-    >>> standardize([4, 7, 5]).compact()
-    '132'
-    """
-    vals = [int(v) for v in values]
-    if len(set(vals)) != len(vals):
-        raise ValueError(f"entries must be distinct: {vals!r}")
-    rank = {v: i for i, v in enumerate(sorted(vals), start=1)}
-    return Permutation(rank[v] for v in vals)
-
-
-SYMMETRIES = ("I", "R", "C", "RC")
-
-
-def apply_symmetry(p: Permutation, op: str) -> Permutation:
-    """Apply one of the classical symmetries.
-
-    ``I`` is the group inverse, ``R`` reverses the entry order, ``C``
-    maps each entry v to n+1-v, and ``RC`` composes the last two (in
-    either order; they commute).  ``I`` and ``RC`` preserve the number
-    of fixed points; ``R`` and ``C`` alone do not.
-    """
-    if op == "I":
-        return p.inverse()
-    if op == "R":
-        return p.reverse()
-    if op == "C":
-        return p.complement()
-    if op == "RC":
-        return p.reverse_complement()
-    raise ValueError(f"unknown symmetry {op!r}; expected one of {SYMMETRIES}")
 
 
 #: The six length-3 patterns in lexicographic order.  Bit i of every
@@ -224,7 +175,3 @@ class PatternSet(tuple):
     def mask(self) -> int:
         """Bitmask over :data:`ALL_PATTERNS`."""
         return sum(map(_PATTERN_BIT.__getitem__, self))
-
-    def apply(self, op: str) -> "PatternSet":
-        """Apply a symmetry to every member; cardinality is preserved."""
-        return PatternSet(apply_symmetry(p, op) for p in self)

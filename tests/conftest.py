@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from patfix import oracle
-from patfix.perms import PatternSet, fixed_points
+from patfix.perms import PatternSet, Permutation, fixed_points
 
 
 def chunk_stats(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,7 +120,9 @@ def orbit_by_closure(patterns) -> tuple:
     seen = {ps}
     frontier = [ps]
     while frontier:
-        frontier = [img for s in frontier for img in (s.apply("I"), s.apply("RC"))
+        frontier = [img for s in frontier
+                    for img in (PatternSet(map(Permutation.inverse, s)),
+                                PatternSet(map(Permutation.reverse_complement, s)))
                     if img not in seen]
         seen.update(frontier)
     return tuple(sorted(seen))
@@ -130,7 +132,7 @@ def shared_sweep(n: int):
     """The oracle's shared rows of size n, with their start table: the
     rows of a size are built to count the size above it."""
     oracle._grown(n + 1)
-    return oracle._built[n]
+    return oracle._state[0][n]
 
 
 @pytest.fixture
@@ -161,7 +163,7 @@ def sweeps(monkeypatch):
 
     monkeypatch.setattr(oracle, "_step", step)
     monkeypatch.setattr(oracle, "_histogram_from_below", counting)
-    warm = oracle._built, oracle._counts
+    warm = oracle._state
     oracle.clear_cache()
     yield calls
-    oracle._built, oracle._counts = warm
+    oracle._state = warm

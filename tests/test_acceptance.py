@@ -155,7 +155,7 @@ def test_criterion_06_symmetry_case_lists():
     ]
     ok = True
     for size, expected in ((2, pair_expected), (3, triple_expected)):
-        got = [{m.canonical() for m in c.members} for c in symmetry_classes(size)]
+        got = [{m.canonical() for m in c} for c in symmetry_classes(size)]
         ok &= len(got) == 9
         ok &= all(e in got for e in expected)
     report("criterion 6: pair and triple case lists match verbatim (9 + 9)", ok)
@@ -202,9 +202,9 @@ def test_criterion_10_property_suite():
             if ps in seen:
                 continue
             orb = orbit(ps)
-            seen.update(orb.members)
-            base = [refined_count(n, orb.representative) for n in range(9)]
-            for member in orb.members:
+            seen.update(orb)
+            base = [refined_count(n, orb[0]) for n in range(9)]
+            for member in orb:
                 ok &= [refined_count(n, member) for n in range(9)] == base
     for n in range(5, 9):
         ok &= sum(refined_count(n, "123,321")) == 0

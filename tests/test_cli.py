@@ -42,7 +42,7 @@ def _pinned_commands():
         yield ["verify", "--all", "--n-max", "7", "--format", fmt]
         for fid in ("thm-231-312", "thm-132-231"):
             yield ["verify", "--formula", fid, "--n-max", "7", "--format", fmt]
-        for size in ("1", "2", "3", "6"):
+        for size in ("1", "2", "3", "4", "5", "6"):
             yield ["classes", "--size", size, "--mode", "symmetry", "--format", fmt]
             yield ["classes", "--size", size, "--mode", "superwilf", "--n-max", "6",
                    "--format", fmt]
@@ -51,7 +51,7 @@ def _pinned_commands():
 
 
 # sha256 over (argv, exit code, stdout) of every pinned command.
-CLI_DIGEST = "2d7e5db8718b8259f64be0a2b29db639bba6b482fbd44b53af397a590878cb60"
+CLI_DIGEST = "deeb16565f763e47117b25de8b71195b3520b929fd45e404e5f09ffd881b49dc"
 
 
 def test_cli_output_digest(capsys):
@@ -60,7 +60,7 @@ def test_cli_output_digest(capsys):
     for argv in commands:
         code, out, _ = run(capsys, *argv)
         digest.update(json.dumps([argv, code, out]).encode() + b"\n")
-    assert len(commands) == 122
+    assert len(commands) == 130
     assert digest.hexdigest() == CLI_DIGEST
 
 
@@ -107,7 +107,7 @@ def test_routes_never_reach_the_oracle(capsys, monkeypatch, sweeps):
         assert (code, err) == (0, ""), argv
         assert out, argv
     assert not (sweeps.rows or sweeps.sets or sweeps.counted)
-    assert oracle._built is oracle._SEED[0] and oracle._counts is oracle._SEED[1]
+    assert oracle._state is oracle._SEED
 
 
 class TestTable:

@@ -41,7 +41,7 @@ TRIPLE_CLASSES = [
 
 
 def as_sets(classes):
-    return [{m.canonical() for m in c.members} for c in classes]
+    return [{m.canonical() for m in c} for c in classes]
 
 
 class TestGroup:
@@ -58,33 +58,31 @@ class TestGroup:
 class TestOrbit:
     def test_fixed_singleton(self):
         orb = orbit("123,321")
-        assert [m.canonical() for m in orb.members] == ["123,321"]
+        assert [m.canonical() for m in orb] == ["123,321"]
 
     def test_pair(self):
         orb = orbit("123,132")
-        assert {m.canonical() for m in orb.members} == {"123,132", "123,213"}
+        assert {m.canonical() for m in orb} == {"123,132", "123,213"}
 
     def test_four_member_orbit(self):
         orb = orbit("132,231,321")
         assert len(orb) == 4
-        assert PatternSet.parse("213,312,321") in orb.members
-        assert orb.representative == min(orb.members)
+        assert PatternSet.parse("213,312,321") in orb
+        assert orb[0] == min(orb)
 
     def test_matches_the_closure_on_every_set(self):
         sets = [PatternSet(c) for size in range(1, 7)
                 for c in itertools.combinations(ALL_PATTERNS, size)]
         assert len(sets) == 63
         for ps in sets:
-            orb = orbit(ps)
-            assert orb.members == orbit_by_closure(ps)
-            assert orb.representative == orb.members[0]
+            assert orbit(ps) == orbit_by_closure(ps)
 
     def test_orbit_members_share_tables(self):
         for size in (1, 2, 3):
             for combo in itertools.combinations(ALL_PATTERNS, size):
                 orb = orbit(PatternSet(combo))
-                base = [refined_count(n, orb.representative) for n in range(7)]
-                for member in orb.members:
+                base = [refined_count(n, orb[0]) for n in range(7)]
+                for member in orb:
                     assert [refined_count(n, member) for n in range(7)] == base
 
 
@@ -104,7 +102,7 @@ class TestSymmetryClasses:
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6])
     def test_partition(self, size):
         classes = symmetry_classes(size)
-        seen = [m for c in classes for m in c.members]
+        seen = [m for c in classes for m in c]
         assert len(seen) == len(set(seen)) == comb(6, size)
 
     def test_full_set_is_one_class(self):
@@ -117,7 +115,7 @@ class TestSymmetryClasses:
 
     def test_ordering_by_representative(self):
         classes = symmetry_classes(2)
-        reps = [c.representative for c in classes]
+        reps = [c[0] for c in classes]
         assert reps == sorted(reps)
 
     def test_bad_cardinality(self):
@@ -130,7 +128,7 @@ class TestSymmetryClasses:
 class TestSuperWilf:
     def test_singleton_split(self):
         classes = super_wilf_classes(["321", "132", "213", "231", "312"], 8)
-        got = [{m.canonical() for m in c.members} for c in classes]
+        got = as_sets(classes)
         assert {"132", "213", "321"} in got
         assert {"231", "312"} in got
         assert len(classes) == 2
@@ -139,8 +137,7 @@ class TestSuperWilf:
         classes = super_wilf_classes(
             ["132,231", "132,312", "213,231", "213,312"], 8
         )
-        assert len(classes) == 1
-        assert classes[0].n_max == 8
+        assert classes == [orbit("132,231")]
 
     def test_single_candidate(self):
         classes = super_wilf_classes(["123,321"], 6)
@@ -155,7 +152,7 @@ class TestSuperWilf:
         for size in (1, 2, 3):
             for combo in itertools.combinations(ALL_PATTERNS, size):
                 orb = orbit(PatternSet(combo))
-                assert len(super_wilf_classes(orb.members, 6)) == 1
+                assert super_wilf_classes(orb, 6) == [orb]
 
     def test_all_pattern_sets_at_twelve(self):
         # Over all 63 sets the refined tables to n = 12 fall into 34
@@ -169,8 +166,49 @@ class TestSuperWilf:
         classes = super_wilf_classes(all_sets, 12, cap=12)
         assert len(classes) == 34
         spanning = [
-            {m.canonical() for m in c.members}
+            {m.canonical() for m in c}
             for c in classes
-            if len({orbit(m).representative for m in c.members}) > 1
+            if len({orbit(m) for m in c}) > 1
         ]
         assert spanning == [{"132", "213", "321"}]
+
+
+def assert_class(cls):
+    """A class is the sorted tuple of its distinct member pattern sets."""
+    assert type(cls) is tuple and cls
+    assert all(type(m) is PatternSet for m in cls)
+    assert list(cls) == sorted(set(cls))
+
+
+class TestShapes:
+    def test_orbit_is_a_sorted_tuple(self):
+        for ps in (PatternSet(c) for size in range(1, 7)
+                   for c in itertools.combinations(ALL_PATTERNS, size)):
+            orb = orbit(ps)
+            assert_class(orb)
+            assert ps in orb and orbit(orb[-1]) == orb
+
+    @pytest.mark.parametrize("patterns, size", [("123", 1), ("132", 2), ("132,231", 4)])
+    def test_len_is_the_member_count(self, patterns, size):
+        orb = orbit(patterns)
+        assert len(orb) == len(set(orb)) == size
+        assert {orbit(m) for m in orb} == {orb}
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6])
+    def test_symmetry_classes_are_sorted_tuples(self, size):
+        classes = symmetry_classes(size)
+        for cls in classes:
+            assert_class(cls)
+        assert classes == sorted(classes)
+        assert len(set(classes)) == len(classes)
+        assert sum(map(len, classes)) == comb(6, size)
+
+    def test_super_wilf_classes_are_sorted_tuples(self):
+        classes = super_wilf_classes(["321", "213", "132", "123", "321"], 5)
+        for cls in classes:
+            assert_class(cls)
+        assert classes == sorted(classes)
+        assert [len(c) for c in classes] == [1, 3]
+        assert classes == [(PatternSet("123"),),
+                           tuple(PatternSet(t) for t in ("132", "213", "321"))]
+        assert len(set(classes)) == 2

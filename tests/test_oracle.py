@@ -96,7 +96,7 @@ class TestSpecValues:
             assert list(enumerate_avoiders(0, ps)) == [Permutation(())]
             assert refined_count(0, ps) == [1]
         assert not (sweeps.rows or sweeps.sets or sweeps.counted)
-        assert oracle._built is oracle._SEED[0] and oracle._counts is oracle._SEED[1]
+        assert oracle._state is oracle._SEED
 
     def test_s3_examples(self):
         assert [p.compact() for p in enumerate_avoiders(3, "231,312")] == [
@@ -153,10 +153,12 @@ class TestStructure:
         for combo_size in (1, 2, 3):
             for combo in itertools.combinations(ALL_PATTERNS, combo_size):
                 ps = PatternSet(combo)
+                inverse = PatternSet(p.inverse() for p in ps)
+                rc = PatternSet(p.reverse_complement() for p in ps)
                 for n in range(6):
                     row = refined_count(n, ps)
-                    assert refined_count(n, ps.apply("I")) == row
-                    assert refined_count(n, ps.apply("RC")) == row
+                    assert refined_count(n, inverse) == row
+                    assert refined_count(n, rc) == row
 
     def test_monotone_supersets_kill_three_fixed_points(self):
         # Three fixed points embed an ascending triple.
@@ -301,7 +303,7 @@ class TestSharedSweep:
             mask, fixed = chunk_stats(sweep.rows)
             assert np.array_equal(sweep.masks, mask), n
             histogram = Counter(zip(mask.tolist(), fixed.tolist()))
-            counts = oracle._counts[n]
+            counts = oracle._state[1][n]
             assert counts == [filtered_count(histogram, t, n) for t in range(64)], n
             # Python ints, so no numpy integer reaches str() or JSON.
             assert all(type(c) is int for row in counts for c in row), n
@@ -322,7 +324,7 @@ class TestSharedSweep:
         h.update(repr(sorted(histogram.items())).encode())
         assert len(sweep.rows) == count
         assert h.hexdigest() == digest
-        assert oracle._counts[n] == [filtered_count(histogram, t, n) for t in range(64)]
+        assert oracle._state[1][n] == [filtered_count(histogram, t, n) for t in range(64)]
 
     def test_start_table_matches_the_definition(self, sweeps):
         # Entry [r, w] has bit i iff ALL_PATTERNS[i] occurs on a triple
@@ -367,9 +369,9 @@ class TestSharedSweep:
         list(enumerate_avoiders(6, "123"))
         # Building size 1 dropped the seed's start table from the cache,
         # not from the seed, which clear_cache puts back as it is.
-        assert oracle._built[0].table is None
+        assert oracle._state[0][0].table is None
         clear_cache()
-        assert oracle._built is oracle._SEED[0] and oracle._counts is oracle._SEED[1]
+        assert oracle._state is oracle._SEED
         (seed,), (counts,) = oracle._SEED
         assert seed.rows.shape == (1, 0) and seed.masks.tolist() == [0]
         assert seed.table.tolist() == [[0]] and counts == [[1]] * 64
@@ -428,17 +430,17 @@ class TestSharedSweep:
         # shared rows, so the table of that size is never built.
         for n in range(1, 7):
             refined_count(n, "123")
-            assert [s.table is not None for s in oracle._built] == [False] * (n - 1) + [True]
-            assert oracle._built[-1].table.shape == (len(oracle._built[n - 1].rows), n), n
-        full, full_counts = avoider_rows(6, "123"), oracle._counts[6]
+            assert [s.table is not None for s in oracle._state[0]] == [False] * (n - 1) + [True]
+            assert oracle._state[0][-1].table.shape == (len(oracle._state[0][n - 1].rows), n), n
+        full, full_counts = avoider_rows(6, "123"), oracle._state[1][6]
         oracle.clear_cache()
         monkeypatch.setattr(oracle, "_HARD_LIMIT", 6)
         refined_count(6, "123", cap=20)
-        assert len(oracle._built) == 6 and len(oracle._counts) == 7
-        assert oracle._built[5].table.shape == (len(oracle._built[5].rows), 6)
-        assert oracle._counts[6] == full_counts
+        assert len(oracle._state[0]) == 6 and len(oracle._state[1]) == 7
+        assert oracle._state[0][5].table.shape == (len(oracle._state[0][5].rows), 6)
+        assert oracle._state[1][6] == full_counts
         assert np.array_equal(avoider_rows(6, "123", cap=20), full)
-        assert len(oracle._built) == 6 and len(oracle._counts) == 7
+        assert len(oracle._state[0]) == 6 and len(oracle._state[1]) == 7
         assert sweeps.rows == Counter({n: 2 for n in range(1, 6)})
         assert sweeps.counted == Counter({n: 2 for n in range(1, 7)})
         assert sweeps.sets == Counter({6: 2})
@@ -448,17 +450,17 @@ class TestSharedSweep:
     def test_a_larger_cap_builds_only_the_new_sizes(self, sweeps, monkeypatch):
         monkeypatch.setattr(oracle, "DEFAULT_CAP", 7)
         refined_count(7, "123")
-        assert oracle._built[6].table.shape == (len(oracle._built[6].rows), 7)
+        assert oracle._state[0][6].table.shape == (len(oracle._state[0][6].rows), 7)
         refined_count(8, "123", cap=8)
         assert sweeps.rows == Counter({n: 1 for n in range(1, 8)})
         assert sweeps.counted == Counter({n: 1 for n in range(1, 9)})
-        built, counts = oracle._built, oracle._counts
+        built, counts = oracle._state
         oracle.clear_cache()
         for n, sweep in enumerate(built):
             fresh = shared_sweep(n)
             assert np.array_equal(sweep.rows, fresh.rows), n
             assert np.array_equal(sweep.masks, fresh.masks), n
-        assert counts == oracle._counts
+        assert counts == oracle._state[1]
 
     def test_a_build_that_raised_resumes_where_it_stopped(self, sweeps, monkeypatch):
         counting = oracle._step
@@ -473,8 +475,8 @@ class TestSharedSweep:
             refined_count(7, "132")
         # Size 6's counts and size 5's rows and table were published
         # before the rows of size 6 failed.
-        assert len(oracle._built) == 6 and len(oracle._counts) == 7
-        assert oracle._built[5].table.shape == (len(oracle._built[5].rows), 6)
+        assert len(oracle._state[0]) == 6 and len(oracle._state[1]) == 7
+        assert oracle._state[0][5].table.shape == (len(oracle._state[0][5].rows), 6)
         monkeypatch.setattr(oracle, "_step", counting)
         assert refined_count(7, "132") == naive_refined(7, "132")
         assert sweeps.rows == Counter({n: 1 for n in range(1, 7)})
@@ -519,7 +521,7 @@ class TestGrowOneSet:
         # is filtered from the seed.
         for n in range(10):
             grown = [avoider_rows(n, ps) for ps in ALL_SETS]
-            assert len(oracle._built) == max(n, 1), n
+            assert len(oracle._state[0]) == max(n, 1), n
             sweep = shared_sweep(n)
             for ps, rows in zip(ALL_SETS, grown):
                 assert np.array_equal(rows, sweep.rows[(sweep.masks & ps.mask) == 0]), (n, ps)
@@ -529,7 +531,7 @@ class TestGrowOneSet:
     def test_a_cold_listing_builds_only_the_sizes_below(self, sweeps, n):
         # Size 0 is the seed, so its listing is a filter and steps nothing.
         rows = avoider_rows(n, "132")
-        assert len(oracle._built) == max(n, 1) and len(oracle._counts) == n + 1
+        assert len(oracle._state[0]) == max(n, 1) and len(oracle._state[1]) == n + 1
         assert len(rows) == sum(refined_count(n, "132"))
         assert sweeps.rows == Counter(range(1, n))
         assert sweeps.sets == (Counter({n: 1}) if n else Counter())
@@ -561,7 +563,7 @@ class TestCountFromBelow:
         # the candidates that contain all six patterns are not counted.
         for n in range(1, 12):
             counts = oracle._grown(n)[1]
-            assert len(oracle._built) == n, n
+            assert len(oracle._state[0]) == n, n
             sweep = shared_sweep(n)
             histogram = histogram_of(sweep.rows, sweep.masks)
             assert counts == [filtered_count(histogram, t, n) for t in range(64)], n
@@ -573,7 +575,7 @@ class TestCountFromBelow:
     def test_counts_from_below_match_contains(self, sweeps):
         for n in range(9):
             counts = oracle._grown(n)[1]
-            assert len(oracle._built) == max(n, 1), n
+            assert len(oracle._state[0]) == max(n, 1), n
             histogram = Counter()
             for p, bits in zip(*contains_masks(n)):
                 if bits != (1 << 6) - 1:
@@ -602,29 +604,42 @@ class TestCountFromBelow:
             got.append(answer(*q))
             # The shared rows of a size are built to count the size above;
             # those of size 0 are the seed.
-            assert len(oracle._built) == max(len(oracle._counts) - 1, 1), q
+            assert len(oracle._state[0]) == max(len(oracle._state[1]) - 1, 1), q
         assert got == expected
         # Each size up to the largest asked for is counted once more.
         top = max(n for _, n, _ in queries)
         assert sweeps.counted == Counter(range(1, 12)) + Counter(range(1, top + 1))
         assert max(sweeps.rows.values()) == 2
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_published_state_has_the_rows_below_its_counts(self, sweeps, seed):
+        # _grown reads a counted size without the lock and hands on the
+        # rows published with it, which avoider_rows indexes below n.
+        calls = ([functools.partial(refined_count, n, "132") for n in range(11)]
+                 + [functools.partial(avoider_rows, n, "231,321") for n in range(11)]
+                 + [clear_cache] * 5)
+        random.Random(seed).shuffle(calls)
+        for call in calls:
+            call()
+            built, counts = oracle._state
+            assert len(built) == max(1, len(counts) - 1), call
+
     def test_rows_built_after_counts_are_not_counted_again(self, sweeps):
         row = refined_count(9, "132")
-        counts = oracle._counts[9]
+        counts = oracle._state[1][9]
         # Counts alone build no rows of size 9.
-        assert len(oracle._built) == 9
+        assert len(oracle._state[0]) == 9
         assert sweeps.rows == Counter({n: 1 for n in range(1, 9)})
         assert sweeps.counted == Counter({n: 1 for n in range(1, 10)})
         rows = avoider_rows(9, "132")
         assert len(rows) == sum(row) == 4862
         avoider_rows(9, "132")
         # The avoiders of size 9 are grown alone, from the rows of size 8.
-        assert len(oracle._built) == 9
+        assert len(oracle._state[0]) == 9
         assert sweeps.rows == Counter({n: 1 for n in range(1, 9)})
         assert sweeps.counted == Counter({n: 1 for n in range(1, 10)})
         assert sweeps.sets == Counter({9: 2})
-        assert oracle._counts[9] is counts
+        assert oracle._state[1][9] is counts
 
     def test_counts_do_not_depend_on_the_chunk_size(self, sweeps, monkeypatch):
         # Chunks of 7 rows split every size from 4 on, most with a short
@@ -639,7 +654,7 @@ class TestCountFromBelow:
         # Row 0 of a count table is the empty pattern mask, which every
         # kept row misses; the rows are written into arrays of that size.
         for m in range(12):
-            assert len(shared_sweep(m).rows) == sum(oracle._counts[m][0]), m
+            assert len(shared_sweep(m).rows) == sum(oracle._state[1][m][0]), m
 
     @pytest.mark.parametrize("n, off, error", [
         (6, 1, RuntimeError), (6, -1, ValueError), (1, 1, RuntimeError),
@@ -649,7 +664,7 @@ class TestCountFromBelow:
         # cannot hold the candidates kept.
         counts = oracle._grown(n)[1]
         with pytest.raises(error):
-            oracle._step(n, oracle._built[n - 1], 0, sum(counts[0]) + off)
+            oracle._step(n, oracle._state[0][n - 1], 0, sum(counts[0]) + off)
 
     def test_threads_on_a_cold_size_count_it_once(self, sweeps, monkeypatch):
         oracle._grown(8)
@@ -657,7 +672,7 @@ class TestCountFromBelow:
         results = overlapping(monkeypatch, "_histogram_from_below", 0.05,
                               lambda i: refined_count(9, sets[i]))
         assert sweeps.counted == Counter({n: 1 for n in range(1, 10)})
-        assert len(oracle._built) == 9
+        assert len(oracle._state[0]) == 9
         sweep = shared_sweep(9)
         histogram = histogram_of(sweep.rows, sweep.masks)
         assert results == [filtered_count(histogram, ps.mask, 9) for ps in sets]

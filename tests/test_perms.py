@@ -11,8 +11,6 @@ from patfix.perms import (
     PatternSet,
     Permutation,
     _from_rows,
-    apply_symmetry,
-    standardize,
 )
 
 perm_strategy = st.integers(min_value=0, max_value=7).flatmap(
@@ -64,17 +62,11 @@ class TestPermutation:
 
     def test_symmetries(self):
         p = Permutation.parse("132")
-        assert apply_symmetry(p, "I") == p
-        assert apply_symmetry(Permutation.parse("123"), "R") == Permutation.parse("321")
-        assert apply_symmetry(p, "RC") == Permutation.parse("213")
-        assert apply_symmetry(Permutation.parse("231"), "I") == Permutation.parse("312")
-        with pytest.raises(ValueError):
-            apply_symmetry(p, "X")
-
-    def test_rc_is_composition_either_order(self):
-        for p in all_perms(4):
-            assert p.reverse_complement() == p.reverse().complement()
-            assert p.reverse_complement() == p.complement().reverse()
+        assert p.inverse() == p
+        assert p.reverse_complement() == Permutation.parse("213")
+        assert Permutation.parse("231").inverse() == Permutation.parse("312")
+        assert Permutation.parse("2413").reverse_complement() == Permutation.parse("2413")
+        assert Permutation.parse("2431").reverse_complement() == Permutation.parse("4213")
 
 
 class TestContains:
@@ -98,36 +90,15 @@ class TestContains:
         assert Permutation.parse("21").contains(())
 
 
-class TestStandardize:
-    def test_examples(self):
-        assert standardize([4, 7, 5]) == Permutation.parse("132")
-        assert standardize([1, 2, 3]) == Permutation.parse("123")
-        assert standardize([]) == Permutation(())
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(ValueError):
-            standardize([2, 2])
-
-    @given(perm_strategy)
-    def test_idempotent_on_permutations(self, entries):
-        p = Permutation(entries)
-        assert standardize(p) == p
-
-    @given(st.lists(st.integers(-1000, 1000), unique=True, max_size=8))
-    def test_result_is_valid_permutation(self, values):
-        r = standardize(values)
-        assert sorted(r) == list(range(1, len(values) + 1))
-
-
 class TestInvariants:
     @given(perm_strategy)
     def test_symmetries_are_involutions(self, entries):
         p = Permutation(entries)
-        for op in ("I", "R", "C", "RC"):
-            assert apply_symmetry(apply_symmetry(p, op), op) == p
+        assert p.inverse().inverse() == p
+        assert p.reverse_complement().reverse_complement() == p
 
     def test_fixed_point_preservation_exhaustive(self):
-        # I and RC preserve the count; R and C generally do not.
+        # I and RC preserve the count.
         for n in range(7):
             for p in all_perms(n):
                 fp = p.fixed_point_count()
@@ -176,10 +147,6 @@ class TestPatternSet:
         assert PatternSet.parse("123").mask == 1
         assert PatternSet.parse("321").mask == 32
         assert PatternSet(ALL_PATTERNS).mask == 63
-
-    def test_apply_elementwise(self):
-        assert PatternSet.parse("132,231").apply("RC") == PatternSet.parse("213,312")
-        assert PatternSet.parse("123,231").apply("I") == PatternSet.parse("123,312")
 
     def test_all_patterns_lex(self):
         names = [p.compact() for p in ALL_PATTERNS]

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from patfix.audit import AuditReport, Cell, audit_formula
-from patfix.equivalence import OrbitClass, SuperWilfClass, orbit, super_wilf_classes
 from patfix.formulas import RECURRENCES, Formula, Recurrence, get_formula
 from patfix.generators import StructuralFamily, supported_families
 from patfix.genfun import RationalGF, gf_for_k
@@ -26,9 +25,6 @@ RECORDS = [
     (AuditReport, lambda: AuditReport("thm-x", "formula", "verified", 5, 21, 0, None),
      ("item_id", "kind", "status", "n_max", "cells_checked", "cells_skipped",
       "counterexample", "detail"), False),
-    (OrbitClass, lambda: orbit("132,231"), ("representative", "members"), True),
-    (SuperWilfClass, lambda: super_wilf_classes(["132", "213", "321"], 5)[0],
-     ("members", "n_max"), True),
     (Formula, lambda: get_formula("thm-231-321"), ("formula_id", "patterns", "min_n", "fn"), True),
     (Recurrence, lambda: RECURRENCES["thm-132-231"],
      ("patterns", "min_n", "terms", "zero_fixed_only"), True),
@@ -84,18 +80,6 @@ class TestRecordBehaviour:
             RationalGF((1,), denominator)
         with pytest.raises(ValueError, match="nonzero constant term"):
             gf_for_k(0)._replace(denominator=denominator)
-
-    @pytest.mark.parametrize("patterns, size", [("123", 1), ("132", 2), ("132,231", 4)])
-    def test_len_is_the_member_count(self, patterns, size):
-        orb = orbit(patterns)
-        assert len(orb) == len(orb.members) == size
-        assert orb._replace(members=orb.members[:1]) == (orb.representative, orb.members[:1])
-        assert len(orb._replace(members=orb.members[:1])) == 1
-
-    def test_super_wilf_class_len(self):
-        [single, triple] = sorted(super_wilf_classes(["123", "132", "213", "321"], 5), key=len)
-        assert (len(single), len(triple)) == (1, 3)
-        assert len(triple._replace(n_max=4)) == 3
 
     def test_cell_and_report_key_order(self):
         cell = Cell(4, -1, "1342", "-")
