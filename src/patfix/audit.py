@@ -161,7 +161,7 @@ def audit_generator(patterns, n_max: int, *, cap: int | None = None) -> AuditRep
     structural family, then an oversized n_max, is refused before
     anything is built."""
     ps = PatternSet(patterns)
-    if generators.family_for(ps) is None:
+    if ps not in generators.supported_families():
         raise generators.UnsupportedFamily(ps)
     check_size(n_max, cap)
     built = [generators.generate_rows(ps, n, cap=cap) for n in range(n_max + 1)]
@@ -255,8 +255,8 @@ def audit_all(n_max: int, *, cap: int | None = None) -> list[AuditReport]:
     emptiness, in a deterministic order.  The three refined-equivalence
     claims are not among them; :func:`audit_super_wilf` checks those."""
     reports = [audit_formula(fid, n_max, cap=cap) for fid in formulas.formula_ids()]
-    for fam in generators.supported_families():
-        reports.append(audit_generator(fam.patterns, n_max, cap=cap))
+    for ps in generators.supported_families():
+        reports.append(audit_generator(ps, n_max, cap=cap))
     for rec_id in RECURRENCES:
         reports.append(audit_recurrence(rec_id, n_max, cap=cap))
     reports.append(audit_gf_coefficients(n_max, cap=cap))

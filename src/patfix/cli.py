@@ -145,15 +145,14 @@ def _oracle_route(ps: PatternSet, n_max: int, cap: int | None):
 
 
 def _formula_route(ps: PatternSet, n_max: int, cap: int | None):
-    if (f := formula_for_patterns(ps)) is None:
+    if (fid := formula_for_patterns(ps)) is None:
         raise UsageError(f"no closed form is registered for {{{ps.canonical()}}}")
     _no_cap(cap)
-    fid = f.formula_id
     return lambda n, ks: [evaluate(fid, n, k) for k in ks]
 
 
 def _generator_route(ps: PatternSet, n_max: int, cap: int | None):
-    if generators.family_for(ps) is None:
+    if ps not in generators.supported_families():
         raise UsageError(f"no structural generator for {{{ps.canonical()}}}; use --method oracle")
     generators.check_size(n_max, cap)
     return lambda n, ks: _cells(generators.generate_refined(ps, n, cap=cap), ks)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from .oracle import check_size, refined_count
+from .oracle import check_size, count_table, refined_count
 from .perms import ALL_PATTERNS, PatternSet, Permutation
 
 __all__ = [
@@ -91,30 +91,27 @@ def symmetry_classes(cardinality: int) -> list[tuple[PatternSet, ...]]:
     return sorted(classes)
 
 
-def _table_key(ps: PatternSet, n_max: int, cap: int | None) -> tuple:
-    return tuple(tuple(refined_count(n, ps, cap=cap)) for n in range(n_max + 1))
-
-
 def super_wilf_classes(candidates, n_max: int, *,
                        cap: int | None = None) -> list[tuple[PatternSet, ...]]:
     """Partition candidates by exact equality of their full refined
     tables for n = 0..n_max, each class the sorted tuple of its members,
-    the classes sorted; an oversized n_max is refused before any table
-    is counted.  Equal tables up to n_max are evidence, not proof: the
-    grouping is empirical."""
+    the classes sorted; a malformed candidate, then an oversized n_max,
+    is refused before any table is counted.  Equal tables up to n_max
+    are evidence, not proof: the grouping is empirical."""
+    sets = [PatternSet(candidate) for candidate in candidates]
     check_size(n_max, cap)
     groups: dict[tuple, set[PatternSet]] = {}
-    for candidate in candidates:
-        ps = PatternSet(candidate)
-        groups.setdefault(_table_key(ps, n_max, cap), set()).add(ps)
+    for ps in sets:
+        groups.setdefault(tuple(map(tuple, count_table(n_max, ps, cap=cap))), set()).add(ps)
     return sorted(tuple(sorted(g)) for g in groups.values())
 
 
 def divergence_witness(a, b, n_max: int, *, cap: int | None = None) -> tuple[int, int] | None:
     """First (n, k) at which the refined tables of a and b differ, or
-    None when they agree up to n_max; an oversized n_max is refused first."""
-    check_size(n_max, cap)
+    None when they agree up to n_max; a malformed set, then an oversized
+    n_max, is refused first."""
     pa, pb = PatternSet(a), PatternSet(b)
+    check_size(n_max, cap)
     for n in range(n_max + 1):
         ra = refined_count(n, pa, cap=cap)
         rb = refined_count(n, pb, cap=cap)

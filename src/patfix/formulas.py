@@ -374,43 +374,34 @@ def _eval3_231_312_321(n: int, k: int):
 class Formula(NamedTuple):
     """One registered closed form."""
 
-    formula_id: str
     patterns: PatternSet
     min_n: int
     fn: Callable[[int, int], Union[int, Fraction]]
 
 
-def _registry() -> dict[str, Formula]:
-    entries = [
-        ("thm-123-321", "123,321", 0, _eval_123_321),
-        ("thm-123-132", "123,132", 1, _eval_123_132),
-        ("thm-123-231", "123,231", 2, _eval_123_231),
-        ("thm-213-132", "213,132", 1, _eval_213_132),
-        ("thm-132-231", "132,231", 3, _eval_132_231),
-        ("thm-132-321", "132,321", 1, _eval_132_321),
-        ("thm-213-231", "213,231", 3, _eval_132_231),
-        ("thm-231-312", "231,312", 1, _eval_231_312),
-        ("thm-231-321", "231,321", 0, _eval_231_321),
-        ("thm3-123-132-321", "123,132,321", 0, _eval3_123_132_321),
-        ("thm3-123-213-321", "123,213,321", 0, _eval3_123_132_321),
-        ("thm3-123-231-321", "123,231,321", 0, _eval3_123_231_321),
-        ("thm3-123-312-321", "123,312,321", 0, _eval3_123_231_321),
-        ("thm3-123-132-213", "123,132,213", 3, _eval3_123_132_213),
-        ("thm3-123-132-231", "123,132,231", 3, _eval3_123_132_231),
-        ("thm3-123-231-312", "123,231,312", 3, _eval3_123_231_312),
-        ("thm3-132-213-231", "132,213,231", 3, _eval3_132_213_231),
-        ("thm3-132-213-321", "132,213,321", 3, _eval3_132_213_321),
-        ("thm3-132-231-312", "132,231,312", 2, _eval3_132_231_312),
-        ("thm3-132-231-321", "132,231,321", 3, _eval3_132_231_321),
-        ("thm3-231-312-321", "231,312,321", 3, _eval3_231_312_321),
-    ]
-    return {
-        fid: Formula(fid, PatternSet.parse(pats), min_n, fn)
-        for fid, pats, min_n, fn in entries
-    }
-
-
-REGISTRY: dict[str, Formula] = _registry()
+REGISTRY: dict[str, Formula] = {
+    "thm-123-321": Formula(PatternSet.parse("123,321"), 0, _eval_123_321),
+    "thm-123-132": Formula(PatternSet.parse("123,132"), 1, _eval_123_132),
+    "thm-123-231": Formula(PatternSet.parse("123,231"), 2, _eval_123_231),
+    "thm-213-132": Formula(PatternSet.parse("213,132"), 1, _eval_213_132),
+    "thm-132-231": Formula(PatternSet.parse("132,231"), 3, _eval_132_231),
+    "thm-132-321": Formula(PatternSet.parse("132,321"), 1, _eval_132_321),
+    "thm-213-231": Formula(PatternSet.parse("213,231"), 3, _eval_132_231),
+    "thm-231-312": Formula(PatternSet.parse("231,312"), 1, _eval_231_312),
+    "thm-231-321": Formula(PatternSet.parse("231,321"), 0, _eval_231_321),
+    "thm3-123-132-321": Formula(PatternSet.parse("123,132,321"), 0, _eval3_123_132_321),
+    "thm3-123-213-321": Formula(PatternSet.parse("123,213,321"), 0, _eval3_123_132_321),
+    "thm3-123-231-321": Formula(PatternSet.parse("123,231,321"), 0, _eval3_123_231_321),
+    "thm3-123-312-321": Formula(PatternSet.parse("123,312,321"), 0, _eval3_123_231_321),
+    "thm3-123-132-213": Formula(PatternSet.parse("123,132,213"), 3, _eval3_123_132_213),
+    "thm3-123-132-231": Formula(PatternSet.parse("123,132,231"), 3, _eval3_123_132_231),
+    "thm3-123-231-312": Formula(PatternSet.parse("123,231,312"), 3, _eval3_123_231_312),
+    "thm3-132-213-231": Formula(PatternSet.parse("132,213,231"), 3, _eval3_132_213_231),
+    "thm3-132-213-321": Formula(PatternSet.parse("132,213,321"), 3, _eval3_132_213_321),
+    "thm3-132-231-312": Formula(PatternSet.parse("132,231,312"), 2, _eval3_132_231_312),
+    "thm3-132-231-321": Formula(PatternSet.parse("132,231,321"), 3, _eval3_132_231_321),
+    "thm3-231-312-321": Formula(PatternSet.parse("231,312,321"), 3, _eval3_231_312_321),
+}
 
 # Each id's (min_n, fn), so that evaluate finds both with one lookup.
 _RULES = {fid: (f.min_n, f.fn) for fid, f in REGISTRY.items()}
@@ -427,10 +418,10 @@ def get_formula(formula_id: str) -> Formula:
         raise ValueError(f"unknown formula id {formula_id!r}") from None
 
 
-def formula_for_patterns(patterns) -> Formula | None:
-    """The formula counting ``patterns``, if one is registered."""
+def formula_for_patterns(patterns) -> str | None:
+    """The id of the formula counting ``patterns``, if one is registered."""
     pats = PatternSet(patterns)
-    return next((f for f in REGISTRY.values() if f.patterns == pats), None)
+    return next((fid for fid, f in REGISTRY.items() if f.patterns == pats), None)
 
 
 def evaluate(formula_id: str, n: int, k: int) -> EvalValue:

@@ -12,29 +12,31 @@ case).
 The members of size n are one column-major integer array with a
 member per row, holding 0-based values as the oracle's rows do: entry v
 of a member is v - 1 in its row.  Docstrings give the constructions in 1-based values,
-as printed.  A recursive step writes each size's rows in blocks: a
-constant head or tail is broadcast across a block, and a smaller size's
-rows are copied in, raised by a constant where the step shifts values.
-The one-parameter and wedge families write one row per parameter value
-through the same block writer.  Every family's rows then go through one
-pipeline: each row is packed into a key of int64 words, and sorting and
-deduplicating the keys gives the members' indices.  The fixed-point
-histogram counts the rows as built, with the oracle's counter, at those
-indices.  Rows are gathered only when members are asked for.
+as printed.  Every family is one step: size n is ``step(n, below)``
+for the list ``below`` of sizes 0..n-1.  A recursive step writes its
+rows in blocks: a constant head or tail is broadcast across a block,
+and a smaller size's rows are copied in, raised by a constant where the
+step shifts values.  The one-parameter and wedge steps read no smaller
+size; they write one row per parameter value through the same block
+writer.  Every family's rows then go through one pipeline: each row is
+packed into a key of int64 words, and sorting and deduplicating the
+keys gives the members' indices.  The fixed-point histogram counts the
+rows as built, with the oracle's counter, at those indices.  Rows are
+gathered only when members are asked for.
 
 Generators scale past the oracle: the default cap is 14, since every
-class here grows at most like 2^n.  A recursive family builds each size
-from the sizes below it.  The module keeps one memo: the sizes of the
-recursive family grown last, so that a table walking one family through
-n = 0, 1, 2, ... builds each size once.  Asking for another family
-replaces it.  Each size's key weights, one small array, are kept too.
+class here grows at most like 2^n.  The module keeps one memo: the
+sizes 0..m of the family grown last, of whichever kind, so that a table
+walking one family through n = 0, 1, 2, ... builds each size once.
+Asking for another family replaces it.  Each size's key weights, one
+small array, are kept too.
 """
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache
 from itertools import chain
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -43,10 +45,8 @@ from .perms import PatternSet, Permutation, _from_rows, fixed_points
 
 __all__ = [
     "GENERATOR_CAP",
-    "StructuralFamily",
     "UnsupportedFamily",
     "check_size",
-    "family_for",
     "generate",
     "generate_refined",
     "generate_rows",
@@ -107,27 +107,31 @@ def _stack(n: int, blocks) -> np.ndarray:
     return out
 
 
-# The recursive family grown last: its step and its sizes 0..m, as a
-# tuple of read-only arrays.  The pair is only ever replaced whole, so a
-# reader in any thread sees an old or a new pair and needs no lock.
-_grown: tuple[Callable | None, tuple[np.ndarray, ...]] = (None, ())
+# A family's step: size n from the list of sizes 0..n-1.
+_Step = Callable[[int, list[np.ndarray]], np.ndarray]
+
+# The family grown last: its step and its sizes 0..m, as a tuple of
+# read-only arrays.  The pair is only ever replaced whole, so a reader
+# in any thread sees an old or a new pair and needs no lock.
+_grown: tuple[_Step | None, tuple[np.ndarray, ...]] = (None, ())
 
 
-def _grow(n: int, step: Callable[[int, list[np.ndarray]], np.ndarray]) -> np.ndarray:
-    """Size n of a recursive family, size m being ``step(m, below)`` for
-    the list ``below`` of sizes 0..m-1.  The sizes of the family grown
-    last are kept, so a call for the same step only builds the sizes
-    past them; walking a family through n = 0, 1, 2, ... builds each
-    size once."""
+def _grow(n: int, step: _Step) -> np.ndarray:
+    """Size n of a family, size m being ``step(m, below)`` for the list
+    ``below`` of sizes 0..m-1, size 0 the empty member.  A one-parameter
+    or wedge step reads no smaller size.  The sizes of the family grown
+    last, whichever it is, are kept, so a call for the same step only
+    builds the sizes past them; walking a family through n = 0, 1, 2, ...
+    builds each size once."""
     global _grown
     last, sizes = _grown
     below = list(sizes) if last is step else [np.zeros((1, 0), dtype=_ROW)]
     if n < len(below):
         return below[n]
+    below[0].flags.writeable = False  # the kept sizes past it already are
     for m in range(len(below), n + 1):
         below.append(step(m, below))
-    for rows in below:
-        rows.flags.writeable = False
+        below[m].flags.writeable = False
     _grown = (step, tuple(below))
     return below[n]
 
@@ -150,7 +154,7 @@ def _step_213_132(n: int, below: list[np.ndarray]) -> np.ndarray:
     return _stack(n, ((_asc(t, n - 1), below[t]) for t in range(n)))
 
 
-def _gen_123_231(n: int) -> np.ndarray:
+def _gen_123_231(n: int, below: list[np.ndarray]) -> np.ndarray:
     """Either the maximum sits at position i >= 2 inside a double
     descent, or the permutation starts at the maximum and consists of
     three descending runs parametrized by (x, y)."""
@@ -216,17 +220,17 @@ def _step_231_312_321(n: int, below: list[np.ndarray]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _gen_123_132_231(n: int) -> np.ndarray:
+def _gen_123_132_231(n: int, below: list[np.ndarray]) -> np.ndarray:
     """j top values descending, the rest descending, then n-j last."""
     return _stack(n, ((_desc(n - 1, n - j), _desc(n - j - 2, 0), (n - j - 1,)) for j in range(n)))
 
 
-def _gen_123_231_312(n: int) -> np.ndarray:
+def _gen_123_231_312(n: int, below: list[np.ndarray]) -> np.ndarray:
     """j, j-1, ..., 1 followed by n, n-1, ..., j+1."""
     return _stack(n, ((_desc(j - 1, 0), _desc(n - 1, j)) for j in range(1, n + 1)))
 
 
-def _gen_132_213_231(n: int) -> np.ndarray:
+def _gen_132_213_231(n: int, below: list[np.ndarray]) -> np.ndarray:
     """j top values descending, then 1, 2, ..., n-j ascending.
 
     The printed parameter range is 1..n, which repeats the full descent
@@ -236,17 +240,17 @@ def _gen_132_213_231(n: int) -> np.ndarray:
     return _stack(n, ((_desc(n - 1, n - j), _asc(0, n - j - 1)) for j in range(1, n + 1)))
 
 
-def _gen_132_213_321(n: int) -> np.ndarray:
+def _gen_132_213_321(n: int, below: list[np.ndarray]) -> np.ndarray:
     """Cyclic rotations j, j+1, ..., n, 1, 2, ..., j-1."""
     return _stack(n, ((_asc(j - 1, n - 1), _asc(0, j - 2)) for j in range(1, n + 1)))
 
 
-def _gen_132_231_312(n: int) -> np.ndarray:
+def _gen_132_231_312(n: int, below: list[np.ndarray]) -> np.ndarray:
     """j, j-1, ..., 1 followed by j+1, j+2, ..., n."""
     return _stack(n, ((_desc(j - 1, 0), _asc(j, n - 1)) for j in range(1, n + 1)))
 
 
-def _gen_132_231_321(n: int) -> np.ndarray:
+def _gen_132_231_321(n: int, below: list[np.ndarray]) -> np.ndarray:
     """j first, then 1..j-1 ascending, then j+1..n ascending."""
     return _stack(n, (((j - 1,), _asc(0, j - 2), _asc(j, n - 1)) for j in range(1, n + 1)))
 
@@ -256,44 +260,29 @@ def _gen_132_231_321(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class StructuralFamily(NamedTuple):
-    patterns: PatternSet
-    kind: str
-    build: Callable[[int], np.ndarray]
+# Each supported set's step, in the order verify --all reports them.
+_FAMILIES: dict[PatternSet, _Step] = {
+    PatternSet.parse("123,132"): _step_123_132,
+    PatternSet.parse("213,132"): _step_213_132,
+    PatternSet.parse("123,231"): _gen_123_231,
+    PatternSet.parse("132,231"): _step_132_231,
+    PatternSet.parse("132,321"): _step_132_321,
+    PatternSet.parse("231,312"): _step_231_312,
+    PatternSet.parse("231,321"): _step_231_321,
+    PatternSet.parse("123,132,231"): _gen_123_132_231,
+    PatternSet.parse("123,231,312"): _gen_123_231_312,
+    PatternSet.parse("132,213,231"): _gen_132_213_231,
+    PatternSet.parse("132,213,321"): _gen_132_213_321,
+    PatternSet.parse("132,231,312"): _gen_132_231_312,
+    PatternSet.parse("132,231,321"): _gen_132_231_321,
+    PatternSet.parse("231,312,321"): _step_231_312_321,
+}
 
 
-_FAMILIES: dict[PatternSet, StructuralFamily] = {}
-
-
-def _register(patterns: str, kind: str, build) -> None:
-    ps = PatternSet.parse(patterns)
-    _FAMILIES[ps] = StructuralFamily(ps, kind, build)
-
-
-_register("123,132", "block-desc", partial(_grow, step=_step_123_132))
-_register("213,132", "block-asc", partial(_grow, step=_step_213_132))
-_register("123,231", "wedge", _gen_123_231)
-_register("132,231", "max-first-recursive", partial(_grow, step=_step_132_231))
-_register("132,321", "max-last-recursive", partial(_grow, step=_step_132_321))
-_register("231,312", "tail-desc-recursive", partial(_grow, step=_step_231_312))
-_register("231,321", "head-max-recursive", partial(_grow, step=_step_231_321))
-_register("123,132,231", "one-param", _gen_123_132_231)
-_register("123,231,312", "one-param", _gen_123_231_312)
-_register("132,213,231", "one-param", _gen_132_213_231)
-_register("132,213,321", "one-param", _gen_132_213_321)
-_register("132,231,312", "one-param", _gen_132_231_312)
-_register("132,231,321", "one-param", _gen_132_231_321)
-_register("231,312,321", "prefix-12-recursive", partial(_grow, step=_step_231_312_321))
-
-
-def supported_families() -> tuple[StructuralFamily, ...]:
-    """Registered families, in registration order."""
-    return tuple(_FAMILIES.values())
-
-
-def family_for(patterns) -> StructuralFamily | None:
-    ps = PatternSet(patterns)
-    return _FAMILIES.get(ps)
+def supported_families() -> tuple[PatternSet, ...]:
+    """The sets with a structural family, in the order verify --all
+    reports them."""
+    return tuple(_FAMILIES)
 
 
 def check_size(n: int, cap: int | None = None) -> None:
@@ -345,11 +334,11 @@ def _distinct(rows: np.ndarray) -> np.ndarray:
 def _built(patterns, n: int, cap: int | None) -> np.ndarray:
     """A family's rows of size n as built: unsorted, maybe repeated."""
     ps = PatternSet(patterns)
-    fam = _FAMILIES.get(ps)
-    if fam is None:
+    step = _FAMILIES.get(ps)
+    if step is None:
         raise UnsupportedFamily(ps)
     check_size(n, cap)
-    return fam.build(n) if n else np.zeros((1, 0), dtype=_ROW)
+    return _grow(n, step)
 
 
 def generate_rows(patterns, n: int, *, cap: int | None = None) -> np.ndarray:

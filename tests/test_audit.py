@@ -86,8 +86,10 @@ class TestOtherItems:
     def test_same_histogram_different_members(self, monkeypatch):
         # Swap one member of size 4 for a non-member with as many fixed
         # points, so every histogram cell agrees and only the sets differ.
+        # The rows as built are patched, not the family's step, whose rows
+        # would feed every size above 4 through the memo.
         ps = PatternSet.parse("231,312")
-        family = generators.family_for(ps)
+        built = generators._built
         members = generators.generate(ps, 4)
         others = [
             p for p in map(Permutation, itertools.permutations(range(1, 5)))
@@ -98,14 +100,14 @@ class TestOtherItems:
             if m.fixed_point_count() == o.fixed_point_count()
         )
 
-        def build(n):
-            rows = family.build(n)
+        def build(patterns, n, cap):
+            rows = built(patterns, n, cap)
             if n == 4:
                 rows = rows.copy()
                 rows[(rows == np.array(missing) - 1).all(axis=1)] = np.array(spurious) - 1
             return rows
 
-        monkeypatch.setitem(generators._FAMILIES, ps, family._replace(build=build))
+        monkeypatch.setattr(generators, "_built", build)
         report = audit_generator(ps, 6)
         assert report.status == DISCREPANT
         c = report.counterexample

@@ -92,8 +92,8 @@ def test_routes_never_reach_the_oracle(capsys, monkeypatch, sweeps):
 
     monkeypatch.setattr(cli, "refined_count", oracle_called)
     monkeypatch.setattr(cli, "enumerate_avoiders", oracle_called)
-    commands = [["table", "--patterns", fam.patterns.canonical(), "--method", "generator",
-                 "--n-max", "14"] for fam in generators.supported_families()]
+    commands = [["table", "--patterns", ps.canonical(), "--method", "generator",
+                 "--n-max", "14"] for ps in generators.supported_families()]
     commands.append(["sequence", "--patterns", "231,312,321", "--method", "generator",
                      "--k", "1", "--n-max", "14"])
     commands += [["table", "--patterns", f.patterns.canonical(), "--method", "formula",

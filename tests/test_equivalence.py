@@ -4,6 +4,7 @@ from math import comb
 import pytest
 from conftest import orbit_by_closure
 
+from patfix import oracle
 from patfix.equivalence import (
     divergence_witness,
     orbit,
@@ -147,6 +148,16 @@ class TestSuperWilf:
         # {123} splits from {321} first at n=3, k=1 (3 avoiders vs 2).
         assert divergence_witness("123", "321", 8) == (3, 1)
         assert divergence_witness("231", "312", 8) is None
+
+    def test_a_malformed_candidate_is_refused_before_any_count(self, sweeps):
+        with pytest.raises(ValueError, match="length-3"):
+            super_wilf_classes(["132", "12"], 8)
+        assert len(oracle._state[1]) == 1
+        assert not (sweeps.rows or sweeps.sets or sweeps.counted)
+
+    def test_a_malformed_set_is_refused_before_the_cap(self):
+        with pytest.raises(ValueError, match="length-3"):
+            divergence_witness("12", "132", 99)
 
     def test_super_wilf_refines_orbits(self):
         for size in (1, 2, 3):

@@ -51,7 +51,7 @@ class TestRegistry:
             ps = get_formula(fid).patterns
             assert ps not in seen, f"{fid} duplicates {seen.get(ps)}"
             seen[ps] = fid
-        assert formula_for_patterns("321,123") .formula_id == "thm-123-321"
+        assert formula_for_patterns("321,123") == "thm-123-321"
         assert formula_for_patterns("123") is None
 
     def test_unknown_id(self):

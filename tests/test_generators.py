@@ -12,7 +12,6 @@ from patfix.formulas import evaluate, formula_ids, get_formula
 from patfix.generators import (
     GENERATOR_CAP,
     UnsupportedFamily,
-    family_for,
     generate,
     generate_refined,
     generate_rows,
@@ -21,11 +20,17 @@ from patfix.generators import (
 from patfix.oracle import CapExceeded, enumerate_avoiders, refined_count
 from patfix.perms import PatternSet, Permutation, fixed_points
 
-FAMILIES = [fam.patterns.canonical() for fam in supported_families()]
+FAMILIES = [ps.canonical() for ps in supported_families()]
 
 # The printed one-parameter family for this set misses the identity
 # permutation at every size >= 2; kept verbatim, see DISCREPANCIES.md.
 DEFICIENT = "132,213,231"
+
+
+def built(patterns, n):
+    """A family's rows of size n as built: unsorted, maybe repeated; a
+    size past the default cap is its own cap."""
+    return generators._built(patterns, n, max(n, GENERATOR_CAP))
 
 
 class TestRegistry:
@@ -34,8 +39,15 @@ class TestRegistry:
         assert "231,312" in FAMILIES
         assert "132,321" in FAMILIES
         assert "132,231,321" in FAMILIES
-        assert family_for("123") is None
-        assert family_for("123,132").kind == "block-desc"
+        assert PatternSet.parse("123") not in supported_families()
+
+    def test_verify_order(self):
+        # The order in which verify --all reports the families.
+        assert supported_families() == tuple(map(PatternSet.parse, (
+            "123,132", "132,213", "123,231", "132,231", "132,321", "231,312",
+            "231,321", "123,132,231", "123,231,312", "132,213,231", "132,213,321",
+            "132,231,312", "132,231,321", "231,312,321",
+        )))
 
     def test_unsupported_family_error(self):
         with pytest.raises(UnsupportedFamily) as exc:
@@ -157,31 +169,26 @@ class TestNormaliser:
     @pytest.mark.parametrize("patterns", FAMILIES)
     def test_every_family_to_the_cap(self, patterns):
         for n in range(1, GENERATOR_CAP + 1):
-            self.check(family_for(patterns).build(n))
+            self.check(built(patterns, n))
 
     @pytest.mark.parametrize("patterns", ["132,321", "132,231,321", "132,213,321"])
     def test_rows_past_one_word(self, patterns):
         # One word holds 15 entries of 4 bits; from n = 16 on a row takes
         # two words and more, and from n = 17 on an entry takes 5 bits.
         for n in (15, 16, 17, 31):
-            self.check(family_for(patterns).build(n))
+            self.check(built(patterns, n))
 
     def test_repeated_rows(self):
         # A row of size 15 is one key word, sorted as a 1-D key; one of
         # size 16 takes two words.
         for n in (9, 15, 16):
-            rows = family_for(DEFICIENT).build(n)
+            rows = built(DEFICIENT, n)
             assert len(lexsort_distinct(rows)) < len(rows)
             self.check(rows)
 
     def test_no_rows(self):
         for n in (1, 5, 17):
             self.check(np.zeros((0, n), dtype=np.int16))
-
-
-def built(patterns, n):
-    """A family's rows of size n as built, the empty row at n = 0."""
-    return family_for(patterns).build(n) if n else np.zeros((1, 0), dtype=np.int16)
 
 
 class TestRefinedFromKeys:
@@ -249,7 +256,7 @@ class TestGrowMemo:
     @staticmethod
     def fresh(monkeypatch, patterns, n):
         monkeypatch.setattr(generators, "_grown", (None, ()))
-        rows = family_for(patterns).build(n)
+        rows = built(patterns, n)
         monkeypatch.setattr(generators, "_grown", (None, ()))
         return rows
 
@@ -258,7 +265,7 @@ class TestGrowMemo:
         asks += [("231,321", 5), ("123,132", 3), ("231,321", 12)]
         expected = [self.fresh(monkeypatch, *ask) for ask in asks]
         for (patterns, n), want in zip(asks, expected):
-            assert np.array_equal(family_for(patterns).build(n), want)
+            assert np.array_equal(built(patterns, n), want)
 
     def test_threads_get_the_serial_results(self, monkeypatch):
         asks = [(patterns, n) for patterns in FAMILIES for n in range(13)]
@@ -268,7 +275,7 @@ class TestGrowMemo:
             # Three rounds, so that threads often grow one family at once.
             order = asks * 3
             random.Random(seed).shuffle(order)
-            return [(ask, family_for(ask[0]).build(ask[1])) for ask in order]
+            return [(ask, built(*ask)) for ask in order]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -283,14 +290,29 @@ class TestGrowMemo:
                 assert np.array_equal(rows, serial[ask])
 
     def test_holds_the_last_family_only(self):
-        for patterns in ("231,321", "132,321"):
-            for n in range(11):
-                generate_refined(patterns, n)
-        step, sizes = generators._grown
-        assert step is generators._step_132_321
-        assert len(sizes) == 11
-        assert not any(rows.flags.writeable for rows in sizes)
-        assert generate_rows("132,321", 10).flags.writeable
+        # A recursive family, then a one-parameter one, whose step reads
+        # no smaller size: each replaces the family grown before it.
+        for patterns, last in (("132,321", generators._step_132_321),
+                               ("132,213,321", generators._gen_132_213_321)):
+            for ps in ("231,321", patterns):
+                for n in range(11):
+                    generate_refined(ps, n)
+            step, sizes = generators._grown
+            assert step is last
+            assert len(sizes) == 11
+            assert not any(rows.flags.writeable for rows in sizes)
+            assert generate_rows(patterns, 10).flags.writeable
+
+    def test_size_zero_is_the_seed_of_every_family(self, monkeypatch):
+        # Size 0 is the one empty member, which no step builds.
+        for ps in supported_families():
+            def never(n, below):
+                raise AssertionError(f"{ps.canonical()} stepped at size {n}")
+
+            monkeypatch.setitem(generators._FAMILIES, ps, never)
+            rows = generators._built(ps, 0, None)
+            assert rows.shape == (1, 0) and rows.dtype == np.int16
+            assert generate(ps, 0) == [Permutation(())]
 
 
 # sha256 over n = 0..14 of each member's compact() plus "\n", in generate
@@ -343,7 +365,7 @@ class TestPastTheOracle:
         first_miss = {}
         for fid in formula_ids():
             patterns = get_formula(fid).patterns
-            if family_for(patterns) is None:
+            if patterns not in supported_families():
                 continue
             for n in range(12, GENERATOR_CAP + 1):
                 claimed = [evaluate(fid, n, k) for k in range(n + 1)]

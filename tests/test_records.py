@@ -12,7 +12,6 @@ import pytest
 
 from patfix.audit import AuditReport, Cell, audit_formula
 from patfix.formulas import RECURRENCES, Formula, Recurrence, get_formula
-from patfix.generators import StructuralFamily, supported_families
 from patfix.genfun import RationalGF, gf_for_k
 from patfix.oracle import _Sweep
 
@@ -25,10 +24,9 @@ RECORDS = [
     (AuditReport, lambda: AuditReport("thm-x", "formula", "verified", 5, 21, 0, None),
      ("item_id", "kind", "status", "n_max", "cells_checked", "cells_skipped",
       "counterexample", "detail"), False),
-    (Formula, lambda: get_formula("thm-231-321"), ("formula_id", "patterns", "min_n", "fn"), True),
+    (Formula, lambda: get_formula("thm-231-321"), ("patterns", "min_n", "fn"), True),
     (Recurrence, lambda: RECURRENCES["thm-132-231"],
      ("patterns", "min_n", "terms", "zero_fixed_only"), True),
-    (StructuralFamily, lambda: supported_families()[0], ("patterns", "kind", "build"), True),
     (RationalGF, lambda: gf_for_k(2), ("numerator", "denominator"), True),
     (_Sweep, lambda: _Sweep(np.zeros((1, 0), dtype=np.int8), np.zeros(1, dtype=np.uint8),
                             np.zeros((1, 1), dtype=np.uint8)),
