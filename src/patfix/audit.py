@@ -21,13 +21,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import formulas, generators
-from .formulas import RECURRENCES, cell_text, evaluate, get_formula, recurrence_check
+from .formulas import RECURRENCES, Undefined, cell_text, evaluate, get_formula, recurrence_check
 from .genfun import gf_for_k, series_coefficients, sum_over_k
 from .oracle import avoider_rows, check_size, refined_count
 
 # Not called here, but bound: the benchmark's tracer wraps it in every module that holds it.
 from .oracle import enumerate_avoiders
-from .perms import ALL_PATTERNS, PatternSet, _from_rows, fixed_points
+from .perms import ALL_PATTERNS, PatternSet, _from_rows
 
 __all__ = [
     "AuditReport",
@@ -49,8 +49,8 @@ ROW_LEVEL = -1
 
 
 class Cell(NamedTuple):
-    """One compared cell; ``formula_value`` is whatever the audited
-    route claimed, ``oracle_value`` is the brute-force truth."""
+    """One compared cell, as text: ``formula_value`` is whatever the
+    audited route claimed, ``oracle_value`` is the brute-force truth."""
 
     n: int
     k: int
@@ -90,32 +90,31 @@ class AuditReport(NamedTuple):
 
 def _compare(item_id: str, kind: str, n_max: int, cells, detail: str = "") -> AuditReport:
     """The report on one statement from its cells ``(n, k, claimed, true,
-    note)``, in the order that decides the first counterexample.  A claim
-    of None is out of domain and skipped; the first claim that differs
-    from the truth is the counterexample, and its note the detail unless
-    the caller gives one.  The only place that makes a report."""
+    note)`` of values, in the order that decides the first counterexample.
+    A claim ``Undefined.OUT_OF_DOMAIN`` is skipped; the first that differs
+    is the counterexample, rendered by ``cell_text``, with its note as the
+    detail unless the caller gives one.  The only place that makes a report."""
     checked = skipped = 0
     counterexample = None
     for n, k, claimed, true, note in cells:
-        if claimed is None:
+        if claimed is Undefined.OUT_OF_DOMAIN:
             skipped += 1
             continue
         checked += 1
         if claimed != true and counterexample is None:
-            counterexample = Cell(n, k, claimed, true)
+            counterexample = Cell(n, k, cell_text(claimed), cell_text(true))
             detail = detail or note
     status = VERIFIED if counterexample is None else DISCREPANT
     return AuditReport(item_id, kind, status, n_max, checked, skipped, counterexample, detail)
 
 
-def _oracle_cells(ps: PatternSet, n_max: int, claim, cap: int | None):
-    """``claim(n, k)`` against the oracle at every cell of rows
-    n = 0..n_max, by n, then k.  Lazy: the caller refuses an oversized
-    n_max first."""
+def _oracle_cells(ps: PatternSet, n_max: int, claims, cap: int | None):
+    """``claims(n)``, the claimed row for k = 0..n, against the oracle's
+    row at every n = 0..n_max, by n, then k.  Lazy: the caller refuses an
+    oversized n_max first."""
     for n in range(n_max + 1):
-        row = refined_count(n, ps, cap=cap)
-        for k in range(n + 1):
-            yield n, k, cell_text(claim(n, k)), str(row[k]), ""
+        for k, cell in enumerate(zip(claims(n), refined_count(n, ps, cap=cap), strict=True)):
+            yield n, k, *cell, ""
 
 
 #: The printed row totals: item id -> (kind, pattern set, first size,
@@ -135,7 +134,7 @@ def _audit_total(item_id: str, n_max: int, cap: int | None) -> AuditReport:
     kind, patterns, first, total = _ROW_TOTALS[item_id]
     check_size(n_max, cap)
     cells = (
-        (n, ROW_LEVEL, str(total(n)), str(sum(refined_count(n, patterns, cap=cap))), "")
+        (n, ROW_LEVEL, total(n), sum(refined_count(n, patterns, cap=cap)), "")
         for n in range(first, n_max + 1)
     )
     return _compare(item_id, kind, n_max, cells)
@@ -151,27 +150,27 @@ def audit_formula(formula_id: str, n_max: int, *, cap: int | None = None) -> Aud
     counted."""
     f = get_formula(formula_id)
     check_size(n_max, cap)
-    cells = _oracle_cells(f.patterns, n_max, lambda n, k: evaluate(formula_id, n, k), cap)
+    cells = _oracle_cells(
+        f.patterns, n_max, lambda n: [evaluate(formula_id, n, k) for k in range(n + 1)], cap
+    )
     return _compare(formula_id, "formula", n_max, cells)
 
 
 def audit_generator(patterns, n_max: int, *, cap: int | None = None) -> AuditReport:
-    """Set equality of the structural construction against the oracle
-    enumeration, plus the refined histogram cell by cell.  A set with no
+    """The refined histogram that ``table --method generator`` prints,
+    from ``generate_refined``, cell by cell, plus set equality of
+    ``generate_rows`` against the oracle enumeration.  A set with no
     structural family, then an oversized n_max, is refused before
     anything is built."""
     ps = PatternSet(patterns)
     if ps not in generators.supported_families():
         raise generators.UnsupportedFamily(ps)
     check_size(n_max, cap)
-    built = [generators.generate_rows(ps, n, cap=cap) for n in range(n_max + 1)]
-    hists = [
-        np.bincount(fixed_points(rows), minlength=n + 1).tolist()
-        for n, rows in enumerate(built)
-    ]
-    cells = _oracle_cells(ps, n_max, lambda n, k: hists[n][k], cap)
+    hists = [generators.generate_refined(ps, n, cap=cap) for n in range(n_max + 1)]
+    cells = _oracle_cells(ps, n_max, hists.__getitem__, cap)
     detail = ""
-    for n, rows in enumerate(built):
+    for n in range(n_max + 1):
+        rows = generators.generate_rows(ps, n, cap=cap)
         oracle_rows = avoider_rows(n, ps, cap=cap)
         if np.array_equal(rows, oracle_rows):
             continue
@@ -192,7 +191,7 @@ def audit_recurrence(formula_id: str, n_max: int, *, cap: int | None = None) -> 
     recurrence_check walks: the recurrence's sum is the claim, the
     oracle's count the truth."""
     cells = (
-        (n, k, str(rhs), str(lhs), "")
+        (n, k, rhs, lhs, "")
         for n, k, lhs, rhs in recurrence_check(formula_id, n_max, cap=cap)
     )
     item_id = "rec-" + formula_id.removeprefix("thm3-").removeprefix("thm-")
@@ -206,7 +205,8 @@ def audit_gf_coefficients(n_max: int, *, cap: int | None = None) -> AuditReport:
     registry's memo, so this stays a route of its own."""
     check_size(n_max, cap)
     cols = [series_coefficients(gf_for_k(k), n_max) for k in range(n_max + 1)]
-    cells = _oracle_cells(PatternSet.parse("231,321"), n_max, lambda n, k: cols[k][n], cap)
+    rows = [row[:n + 1] for n, row in enumerate(zip(*cols))]
+    cells = _oracle_cells(PatternSet.parse("231,321"), n_max, rows.__getitem__, cap)
     return _compare("gf-231-321", "genfun", n_max, cells)
 
 
@@ -239,8 +239,7 @@ def _bound_cells(n_max: int, cap: int | None):
             note = f"violated by {{{ps.canonical()}}}"
             for n in range(n_max + 1):
                 for k, count in enumerate(refined_count(n, ps, cap=cap)):
-                    text = str(count)
-                    yield n, k, text if count <= 2 else "0|1|2", text, note
+                    yield n, k, count if count <= 2 else "0|1|2", count, note
 
 
 def audit_vanishing(n_max: int, *, cap: int | None = None) -> AuditReport:
@@ -299,5 +298,5 @@ def _equivalence_cells(first: str, others: list[str], n_max: int, cap: int | Non
         truth = refined_count(n, first, cap=cap)
         for member, note in notes:
             row = refined_count(n, member, cap=cap)
-            for k in range(n + 1):
-                yield n, k, str(row[k]), str(truth[k]), note
+            for k, cell in enumerate(zip(row, truth)):
+                yield n, k, *cell, note

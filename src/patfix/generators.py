@@ -26,8 +26,9 @@ gathered only when members are asked for.
 
 Generators scale past the oracle: the default cap is 14, since every
 class here grows at most like 2^n.  The module keeps one memo: the
-sizes 0..m of the family grown last, of whichever kind, so that a table
-walking one family through n = 0, 1, 2, ... builds each size once.
+sizes 0..m of the family grown last, of whichever kind, each with its
+members' indices, so that walking one family through n = 0, 1, 2, ...
+builds and sorts each size once, however often it is asked for.
 Asking for another family replaces it.  Each size's key weights, one
 small array, are kept too.
 """
@@ -109,31 +110,6 @@ def _stack(n: int, blocks) -> np.ndarray:
 
 # A family's step: size n from the list of sizes 0..n-1.
 _Step = Callable[[int, list[np.ndarray]], np.ndarray]
-
-# The family grown last: its step and its sizes 0..m, as a tuple of
-# read-only arrays.  The pair is only ever replaced whole, so a reader
-# in any thread sees an old or a new pair and needs no lock.
-_grown: tuple[_Step | None, tuple[np.ndarray, ...]] = (None, ())
-
-
-def _grow(n: int, step: _Step) -> np.ndarray:
-    """Size n of a family, size m being ``step(m, below)`` for the list
-    ``below`` of sizes 0..m-1, size 0 the empty member.  A one-parameter
-    or wedge step reads no smaller size.  The sizes of the family grown
-    last, whichever it is, are kept, so a call for the same step only
-    builds the sizes past them; walking a family through n = 0, 1, 2, ...
-    builds each size once."""
-    global _grown
-    last, sizes = _grown
-    below = list(sizes) if last is step else [np.zeros((1, 0), dtype=_ROW)]
-    if n < len(below):
-        return below[n]
-    below[0].flags.writeable = False  # the kept sizes past it already are
-    for m in range(len(below), n + 1):
-        below.append(step(m, below))
-        below[m].flags.writeable = False
-    _grown = (step, tuple(below))
-    return below[n]
 
 
 # ---------------------------------------------------------------------------
@@ -331,21 +307,47 @@ def _distinct(rows: np.ndarray) -> np.ndarray:
     return order[keep]
 
 
-def _built(patterns, n: int, cap: int | None) -> np.ndarray:
-    """A family's rows of size n as built: unsorted, maybe repeated."""
+# The family grown last: its step, its sizes 0..m and their member
+# indices, as tuples of read-only arrays.  Only ever replaced whole, so a
+# reader in any thread sees an old or a new triple and needs no lock.
+_grown: tuple[_Step | None, tuple[np.ndarray, ...], tuple[np.ndarray, ...]] = (None, (), ())
+
+
+def _grow(patterns, n: int, cap: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """A family's rows of size n as built, unsorted and maybe repeated,
+    and its members' indices among them, in lexicographic order.  Size m
+    is ``step(m, below)`` for the list ``below`` of sizes 0..m-1, size 0
+    the empty member, each sorted by :func:`_distinct` as it is built.  The
+    family grown last is kept; a call for it builds only the sizes past it."""
+    global _grown
     ps = PatternSet(patterns)
     step = _FAMILIES.get(ps)
     if step is None:
         raise UnsupportedFamily(ps)
     check_size(n, cap)
-    return _grow(n, step)
+    last, below, orders = _grown
+    if last is not step:
+        below = orders = ()
+    if n >= len(below):
+        below, orders = list(below), list(orders)
+        for m in range(len(below), n + 1):
+            below.append(step(m, below) if m else np.zeros((1, 0), dtype=_ROW))
+            orders.append(_distinct(below[m]))
+            below[m].flags.writeable = orders[m].flags.writeable = False
+        _grown = (step, tuple(below), tuple(orders))
+    return below[n], orders[n]
+
+
+def _built(patterns, n: int, cap: int | None) -> np.ndarray:
+    """A family's rows of size n as built: unsorted, maybe repeated."""
+    return _grow(patterns, n, cap)[0]
 
 
 def generate_rows(patterns, n: int, *, cap: int | None = None) -> np.ndarray:
     """The members of size n as 0-based rows, distinct and in
     lexicographic order, like the oracle's avoider rows."""
-    rows = _built(patterns, n, cap)
-    return rows[_distinct(rows)]
+    rows, order = _grow(patterns, n, cap)
+    return rows[order]
 
 
 def generate(patterns, n: int, *, cap: int | None = None) -> list[Permutation]:
@@ -357,5 +359,5 @@ def generate_refined(patterns, n: int, *, cap: int | None = None) -> list[int]:
     """Fixed-point histogram of :func:`generate`, indexed k = 0..n: the
     fixed points of the rows as built, picked out at the members'
     indices, so no member row is gathered."""
-    rows = _built(patterns, n, cap)
-    return np.bincount(fixed_points(rows)[_distinct(rows)], minlength=n + 1).tolist()
+    rows, order = _grow(patterns, n, cap)
+    return np.bincount(fixed_points(rows)[order], minlength=n + 1).tolist()

@@ -51,7 +51,6 @@ process the rows quickly.
 
 from __future__ import annotations
 
-import functools
 import threading
 from typing import Iterator, NamedTuple
 
@@ -107,14 +106,14 @@ def check_size(n: int, cap: int | None = None) -> None:
         raise CapExceeded(n, _HARD_LIMIT, subject="exhaustive histogram", override="")
 
 
-@functools.cache
 def _starts(n: int) -> np.ndarray:
     """Row v: for a row of size n whose first entry is v, the mask of the
     patterns that start at a new first entry w = 0..n with v second and
     some later entry x third, in the order of ALL_PATTERNS.  The row's
     later entries are every value but v, so some x is above v iff
-    v < n - 1 and below v iff v > 0.  Shared by every call, so read-only."""
-    masks = np.array([[
+    v < n - 1 and below v iff v > 0.  :func:`_step` builds the table
+    once per size, as it sweeps that size."""
+    return np.array([[
         (up and w <= v)  # 123
         | (down and w < v) << 1  # 132
         | (up and v < w < n) << 2  # 213
@@ -123,8 +122,6 @@ def _starts(n: int) -> np.ndarray:
         | (down and w > v) << 5  # 321
         for w in range(n + 1)
     ] for v, up, down in ((v, v < n - 1, v > 0) for v in range(n))], dtype=np.uint8)
-    masks.flags.writeable = False
-    return masks
 
 
 # Rows per fixed-point count and bincount.  A chunk of rows and of its

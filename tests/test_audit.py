@@ -11,6 +11,7 @@ import pytest
 from patfix import generators
 from patfix.audit import (
     _ROW_TOTALS,
+    _compare,
     ROW_LEVEL,
     DISCREPANT,
     VERIFIED,
@@ -27,7 +28,7 @@ from patfix.audit import (
     audit_vanishing,
 )
 from patfix.equivalence import divergence_witness, super_wilf_classes
-from patfix.formulas import RECURRENCES, formula_ids
+from patfix.formulas import RECURRENCES, Undefined, formula_ids
 from patfix.genfun import series_coefficients
 from patfix.oracle import DEFAULT_CAP, CapExceeded, refined_count
 from patfix.perms import PatternSet, Permutation
@@ -86,10 +87,10 @@ class TestOtherItems:
     def test_same_histogram_different_members(self, monkeypatch):
         # Swap one member of size 4 for a non-member with as many fixed
         # points, so every histogram cell agrees and only the sets differ.
-        # The rows as built are patched, not the family's step, whose rows
+        # The members are patched, not the family's step, whose rows
         # would feed every size above 4 through the memo.
         ps = PatternSet.parse("231,312")
-        built = generators._built
+        generate_rows = generators.generate_rows
         members = generators.generate(ps, 4)
         others = [
             p for p in map(Permutation, itertools.permutations(range(1, 5)))
@@ -100,14 +101,13 @@ class TestOtherItems:
             if m.fixed_point_count() == o.fixed_point_count()
         )
 
-        def build(patterns, n, cap):
-            rows = built(patterns, n, cap)
+        def build(patterns, n, *, cap=None):
+            rows = generate_rows(patterns, n, cap=cap)
             if n == 4:
-                rows = rows.copy()
                 rows[(rows == np.array(missing) - 1).all(axis=1)] = np.array(spurious) - 1
             return rows
 
-        monkeypatch.setattr(generators, "_built", build)
+        monkeypatch.setattr(generators, "generate_rows", build)
         report = audit_generator(ps, 6)
         assert report.status == DISCREPANT
         c = report.counterexample
@@ -118,6 +118,23 @@ class TestOtherItems:
             f"missing={missing.compact()})"
         )
         assert report.cells_checked == sum(n + 1 for n in range(7)) + 1
+
+    def test_generator_histogram_is_the_printed_one(self, monkeypatch):
+        # The histogram claim is what table --method generator prints,
+        # so a misreporting generate_refined makes the audit discrepant.
+        generate_refined = generators.generate_refined
+
+        def misreport(patterns, n, *, cap=None):
+            row = generate_refined(patterns, n, cap=cap)
+            return [*row[:2], row[2] + 1, *row[3:]] if n == 5 else row
+
+        monkeypatch.setattr(generators, "generate_refined", misreport)
+        report = audit_generator("231,321", 6)
+        assert report.status == DISCREPANT
+        truth = refined_count(5, "231,321")[2]
+        assert report.counterexample == Cell(5, 2, str(truth + 1), str(truth))
+        assert report.detail == ""
+        assert report.cells_checked == sum(n + 1 for n in range(7))
 
     def test_generator_audit_refused_before_any_build(self, monkeypatch):
         def build(*args, **kwargs):
@@ -259,6 +276,40 @@ class TestOtherItems:
     def test_property_items(self):
         assert audit_small_class_bound(7).status == VERIFIED
         assert audit_vanishing(8).status == VERIFIED
+
+
+class TestCompare:
+    """The one comparator takes each cell's values as the routes give
+    them and renders only its counterexample, as table renders a cell."""
+
+    @staticmethod
+    def report(*cells):
+        cells = [(n, k, claimed, true, f"at {n},{k}") for n, k, claimed, true in cells]
+        return _compare("item", "formula", 3, cells)
+
+    def test_out_of_domain_is_skipped(self):
+        report = self.report((0, 0, Undefined.OUT_OF_DOMAIN, 1), (1, 0, 0, 0), (1, 1, 1, 1))
+        assert report.status == VERIFIED
+        assert (report.cells_checked, report.cells_skipped) == (2, 1)
+
+    @pytest.mark.parametrize("claimed, true, text", [
+        (Undefined.NON_INTEGRAL, 3, ("non-integral", "3")),
+        ("0|1|2", 3, ("0|1|2", "3")),
+        ("2413", "1342", ("2413", "1342")),
+        (12, 11, ("12", "11")),
+    ], ids=["non-integral", "bound", "compact", "int"])
+    def test_counterexample_rendered_once(self, claimed, true, text):
+        report = self.report((2, 0, 1, 1), (2, 1, claimed, true))
+        assert report.status == DISCREPANT
+        assert report.counterexample == Cell(2, 1, *text)
+        assert report.detail == "at 2,1"
+
+    def test_first_difference_wins(self):
+        report = self.report((1, 0, 0, 0), (2, 0, 5, 3), (2, 1, Undefined.OUT_OF_DOMAIN, 0),
+                             (3, 0, 7, 4))
+        assert report.counterexample == Cell(2, 0, "5", "3")
+        assert report.detail == "at 2,0"
+        assert (report.cells_checked, report.cells_skipped) == (3, 1)
 
 
 class TestAuditAll:

@@ -251,13 +251,13 @@ class TestGrowMemo:
 
     @pytest.fixture(autouse=True)
     def cold(self, monkeypatch):
-        monkeypatch.setattr(generators, "_grown", (None, ()))
+        monkeypatch.setattr(generators, "_grown", (None, (), ()))
 
     @staticmethod
     def fresh(monkeypatch, patterns, n):
-        monkeypatch.setattr(generators, "_grown", (None, ()))
+        monkeypatch.setattr(generators, "_grown", (None, (), ()))
         rows = built(patterns, n)
-        monkeypatch.setattr(generators, "_grown", (None, ()))
+        monkeypatch.setattr(generators, "_grown", (None, (), ()))
         return rows
 
     def test_interleaved_families(self, monkeypatch):
@@ -297,11 +297,26 @@ class TestGrowMemo:
             for ps in ("231,321", patterns):
                 for n in range(11):
                     generate_refined(ps, n)
-            step, sizes = generators._grown
+            step, sizes, orders = generators._grown
             assert step is last
-            assert len(sizes) == 11
-            assert not any(rows.flags.writeable for rows in sizes)
+            assert len(sizes) == len(orders) == 11
+            assert not any(a.flags.writeable for a in (*sizes, *orders))
             assert generate_rows(patterns, 10).flags.writeable
+
+    def test_each_size_sorted_once(self, monkeypatch):
+        # The histogram and the members of a size share its one sort.
+        calls = []
+        distinct = generators._distinct
+
+        def counted(rows):
+            calls.append(rows.shape)
+            return distinct(rows)
+
+        monkeypatch.setattr(generators, "_distinct", counted)
+        for n in range(10):
+            generate_rows("123,132", n)
+            generate_refined("123,132", n)
+        assert [shape[1] for shape in calls] == list(range(10))
 
     def test_size_zero_is_the_seed_of_every_family(self, monkeypatch):
         # Size 0 is the one empty member, which no step builds.
